@@ -8,7 +8,7 @@ from .evaluation import (ContaminationReport, FoldPlan, FoldResult,
                          contamination_check, stratified_kfold, summarize)
 from .experiment import (ExperimentReport, RunConfig, SETUP_AFTER, SETUP_BEFORE,
                          SETUP_LEAKY_HOLDOUT, SETUP_NO_OVERSAMPLING, render_report,
-                         run_experiment, run_leaky_holdout, run_setup)
+                         run_experiment)
 from .forest import ForestConfig, ForestModel, majority_baseline, predict_proba, train_forest
 from .resampling import AdasynConfig, adasyn, allocate_counts
 from .synth import SynthConfig, generate_cohort
@@ -28,6 +28,6 @@ __all__ = [
     "auroc", "build_dataset", "confusion_matrix", "contamination_check",
     "extract_cohort", "fit_imputer", "generate_cohort", "label_los",
     "load_tables", "majority_baseline", "predict_proba", "read_dataset",
-    "render_report", "run_experiment", "run_leaky_holdout", "run_setup",
-    "stratified_kfold", "summarize", "train_forest", "write_dataset",
+    "render_report", "run_experiment", "stratified_kfold", "summarize",
+    "train_forest", "write_dataset",
 ]

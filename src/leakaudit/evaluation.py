@@ -141,11 +141,10 @@ def contamination_check(provenance, eval_labels, original_class_counts: dict) ->
     )
 
 
-def summarize(values, population_std: bool = False) -> dict:
-    """Mean and standard deviation of per-fold values.
+def summarize(values) -> dict:
+    """Mean and sample (n-1) standard deviation of per-fold values.
 
-    Sample (n-1) standard deviation by default, switchable to population;
-    a single value has std 0 by convention.
+    A single value has std 0 by convention.
     """
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
@@ -153,5 +152,5 @@ def summarize(values, population_std: bool = False) -> dict:
     mean = float(v.mean())
     if v.size == 1:
         return {"mean": mean, "std": 0.0}
-    std = float(v.std(ddof=0 if population_std else 1))
+    std = float(v.std(ddof=1))
     return {"mean": mean, "std": std}

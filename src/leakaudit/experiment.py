@@ -11,6 +11,13 @@ Setups, on the same dataset and derived seeds:
 * ``leaky_holdout``       - impute and oversample everything, then take a
   single stratified holdout split (the balance-then-split mistake).
 
+All four run through one loop in :func:`run_experiment`.  Each repeat
+(1) imputes and oversamples every row when the setup leaks, (2) plans its
+splits - k stratified folds, or the holdout as a one-split plan - and
+(3) trains and scores every split the same way.  A split whose test side
+holds one class, or whose training rows cannot be imputed or oversampled,
+is listed in ``skipped`` and the run carries on.
+
 Every stochastic choice is seeded from ``master_seed`` through labeled
 derivation, so identical configs give identical reports and the setups
 share fold plans wherever their shapes allow.
@@ -24,8 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .evaluation import (FoldResult, UndefinedAUROCError, auroc, confusion_matrix,
-                         contamination_check, stratified_kfold, summarize)
+from .evaluation import (FoldResult, auroc, confusion_matrix, contamination_check,
+                         stratified_kfold, summarize)
 from .forest import ForestConfig, predict_proba, train_forest
 from .resampling import AdasynConfig, adasyn
 from .seeding import derive_seed
@@ -110,22 +117,6 @@ def _check_input(ds: Dataset) -> None:
         raise ValueError("both classes must be present")
 
 
-def _evaluate_fold(train_ds, train_rows, eval_ds, eval_rows, forest_cfg,
-                   original_counts, fold, repeat):
-    model = train_forest(train_ds, train_rows, forest_cfg)
-    scores = predict_proba(model, eval_ds, eval_rows)
-    eval_y = eval_ds.y[eval_rows]
-    score = auroc(scores, eval_y)  # may raise UndefinedAUROCError
-    return FoldResult(
-        auroc=score,
-        confusion=confusion_matrix(scores, eval_y),
-        contamination=contamination_check(eval_ds.provenance[eval_rows], eval_y,
-                                          original_counts),
-        fold=fold,
-        repeat=repeat,
-    )
-
-
 def _summarize_setup(name, results, skipped) -> SetupReport:
     if results:
         stats = summarize([r.auroc for r in results])
@@ -136,70 +127,11 @@ def _summarize_setup(name, results, skipped) -> SetupReport:
                        std_auroc=std, skipped=tuple(skipped))
 
 
-def run_setup(ds: Dataset, cfg: RunConfig) -> ExperimentReport:
-    """Run one cross-validated setup; folds with one-class test sets are skipped."""
-    if cfg.setup == SETUP_LEAKY_HOLDOUT:
-        return run_leaky_holdout(ds, cfg)
-    _check_input(ds)
-    original_counts = ds.class_counts()
-    all_rows = np.arange(ds.n_rows)
-
-    results: list[FoldResult] = []
-    skipped: list[str] = []
-    for r in range(cfg.repeats):
-        fold_seed = derive_seed(cfg.master_seed, "folds", r)
-        if cfg.setup == SETUP_BEFORE:
-            # leak on purpose: fit statistics and oversample on everything
-            imputed = apply_imputer(ds, fit_imputer(ds, all_rows))
-            aug = adasyn(imputed, all_rows,
-                         replace(cfg.adasyn, seed=derive_seed(cfg.master_seed, "adasyn", r)))
-            plan = stratified_kfold(aug.y, cfg.folds, fold_seed)
-            work = aug
-        else:
-            plan = stratified_kfold(ds.y, cfg.folds, fold_seed)
-            work = ds
-        skipped.extend(f"repeat {r}: {w}" for w in plan.warnings)
-
-        for f, test in enumerate(plan.folds):
-            test = np.asarray(test, dtype=np.intp)
-            test_y = work.y[test]
-            if (test_y == 0).all() or (test_y == 1).all():
-                skipped.append(f"repeat {r} fold {f}: AUROC undefined (single-class test fold)")
-                continue
-            train = np.setdiff1d(np.arange(work.n_rows), test)
-            forest_cfg = replace(cfg.forest, seed=derive_seed(cfg.master_seed, "forest", r, f))
-            try:
-                if cfg.setup == SETUP_BEFORE:
-                    result = _evaluate_fold(work, train, work, test, forest_cfg,
-                                            original_counts, f, r)
-                else:
-                    imputed = apply_imputer(ds, fit_imputer(ds, train))
-                    if cfg.setup == SETUP_AFTER:
-                        aug = adasyn(imputed, train,
-                                     replace(cfg.adasyn,
-                                             seed=derive_seed(cfg.master_seed, "adasyn", r, f)))
-                        result = _evaluate_fold(aug, np.arange(aug.n_rows), imputed, test,
-                                                forest_cfg, original_counts, f, r)
-                    else:
-                        result = _evaluate_fold(imputed, train, imputed, test, forest_cfg,
-                                                original_counts, f, r)
-            except UndefinedAUROCError:
-                skipped.append(f"repeat {r} fold {f}: AUROC undefined (single-class test fold)")
-                continue
-            results.append(result)
-
-    return ExperimentReport(
-        config=cfg.echo(),
-        dataset_fingerprint=ds.fingerprint(),
-        setups=(_summarize_setup(cfg.setup, results, skipped),),
-    )
-
-
-def _stratified_split(labels, test_fraction: float, seed: int):
-    """Single stratified split; returns (train_rows, test_rows)."""
+def _holdout_test_rows(labels, test_fraction: float, seed: int) -> np.ndarray:
+    """Test side of a single stratified split, as sorted row indices."""
     y = np.asarray(labels)
     rng = np.random.default_rng(seed)
-    train, test = [], []
+    test = []
     for cls in np.unique(y):
         idx = np.flatnonzero(y == cls)
         rng.shuffle(idx)
@@ -209,43 +141,72 @@ def _stratified_split(labels, test_fraction: float, seed: int):
         else:
             n_test = 0  # a singleton class stays trainable
         test.extend(idx[:n_test])
-        train.extend(idx[n_test:])
-    return np.array(sorted(train), dtype=np.intp), np.array(sorted(test), dtype=np.intp)
+    return np.array(sorted(test), dtype=np.intp)
 
 
-def run_leaky_holdout(ds: Dataset, cfg: RunConfig) -> ExperimentReport:
-    """Balance the whole dataset, then split: the flawed holdout under audit."""
+def run_experiment(ds: Dataset, cfg: RunConfig) -> ExperimentReport:
+    """Run the setup named by ``cfg.setup``; splits that cannot be scored are skipped."""
     _check_input(ds)
     original_counts = ds.class_counts()
     all_rows = np.arange(ds.n_rows)
+    holdout = cfg.setup == SETUP_LEAKY_HOLDOUT
+    leaky = cfg.setup in (SETUP_BEFORE, SETUP_LEAKY_HOLDOUT)
 
     results: list[FoldResult] = []
     skipped: list[str] = []
     for r in range(cfg.repeats):
-        imputed = apply_imputer(ds, fit_imputer(ds, all_rows))
-        aug = adasyn(imputed, all_rows,
-                     replace(cfg.adasyn, seed=derive_seed(cfg.master_seed, "adasyn", r)))
-        train, test = _stratified_split(aug.y, cfg.holdout_test_fraction,
-                                        derive_seed(cfg.master_seed, "holdout", r))
-        forest_cfg = replace(cfg.forest, seed=derive_seed(cfg.master_seed, "forest", r, 0))
-        try:
-            results.append(_evaluate_fold(aug, train, aug, test, forest_cfg,
-                                          original_counts, 0, r))
-        except UndefinedAUROCError:
-            skipped.append(f"repeat {r}: AUROC undefined (single-class test side)")
+        work = ds
+        if leaky:
+            # leak on purpose: fit statistics and oversample on every row
+            imputed = apply_imputer(ds, fit_imputer(ds, all_rows))
+            work = adasyn(imputed, all_rows,
+                          replace(cfg.adasyn, seed=derive_seed(cfg.master_seed, "adasyn", r)))
+        if holdout:
+            splits = [_holdout_test_rows(work.y, cfg.holdout_test_fraction,
+                                         derive_seed(cfg.master_seed, "holdout", r))]
+        else:
+            plan = stratified_kfold(work.y, cfg.folds, derive_seed(cfg.master_seed, "folds", r))
+            skipped.extend(f"repeat {r}: {w}" for w in plan.warnings)
+            splits = plan.folds
+
+        for f, test in enumerate(splits):
+            where = f"repeat {r}" if holdout else f"repeat {r} fold {f}"
+            test = np.asarray(test, dtype=np.intp)
+            test_y = work.y[test]
+            if (test_y == 0).all() or (test_y == 1).all():
+                side = "side" if holdout else "fold"
+                skipped.append(f"{where}: AUROC undefined (single-class test {side})")
+                continue
+            train = np.setdiff1d(np.arange(work.n_rows), test)
+            train_ds = eval_ds = work
+            if not leaky:
+                # the correct pipeline: statistics and synthetic rows from training rows only
+                try:
+                    train_ds = eval_ds = apply_imputer(ds, fit_imputer(ds, train))
+                    if cfg.setup == SETUP_AFTER:
+                        train_ds = adasyn(eval_ds, train, replace(
+                            cfg.adasyn, seed=derive_seed(cfg.master_seed, "adasyn", r, f)))
+                        train = np.arange(train_ds.n_rows)
+                except ValueError as exc:
+                    skipped.append(f"{where}: {exc}")
+                    continue
+            model = train_forest(train_ds, train, replace(
+                cfg.forest, seed=derive_seed(cfg.master_seed, "forest", r, f)))
+            scores = predict_proba(model, eval_ds, test)
+            results.append(FoldResult(
+                auroc=auroc(scores, test_y),
+                confusion=confusion_matrix(scores, test_y),
+                contamination=contamination_check(eval_ds.provenance[test], test_y,
+                                                  original_counts),
+                fold=f,
+                repeat=r,
+            ))
 
     return ExperimentReport(
         config=cfg.echo(),
         dataset_fingerprint=ds.fingerprint(),
-        setups=(_summarize_setup(SETUP_LEAKY_HOLDOUT, results, skipped),),
+        setups=(_summarize_setup(cfg.setup, results, skipped),),
     )
-
-
-def run_experiment(ds: Dataset, cfg: RunConfig) -> ExperimentReport:
-    """Dispatch to the CV runner or the holdout runner based on ``cfg.setup``."""
-    if cfg.setup == SETUP_LEAKY_HOLDOUT:
-        return run_leaky_holdout(ds, cfg)
-    return run_setup(ds, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -195,12 +195,24 @@ def write_dataset(ds: Dataset, csv_path) -> None:
         fh.write("\n")
 
 
+def _parse_cell(cell: str, csv_path, line: int, column: str) -> float:
+    try:
+        v = float(cell)
+    except ValueError:
+        v = math.nan  # text that is no number gets the same diagnostic
+    if not math.isfinite(v):
+        raise ValueError(f"{csv_path}: row {line}, column {column!r}: "
+                         f"{cell!r} is not a finite number")
+    return v
+
+
 def read_dataset(csv_path) -> Dataset:
     """Read a dataset CSV written by :func:`write_dataset`.
 
     Column kinds come from the JSON sidecar when present; without one, a
     column whose observed values are all 0/1 is treated as binary.  All
-    rows are tagged ORIGINAL.
+    rows are tagged ORIGINAL.  A feature cell that is not a finite number,
+    or a label other than 0/1, is rejected with its file, row and column.
     """
     csv_path = Path(csv_path)
     if not csv_path.exists():
@@ -219,11 +231,15 @@ def read_dataset(csv_path) -> Dataset:
     x = np.full((n, p), np.nan)
     y = np.zeros(n, dtype=np.int64)
     for i, row in enumerate(rows):
+        line = i + 2  # the header is line 1
         if len(row) != p + 1:
-            raise ValueError(f"{csv_path}: row {i + 2} has {len(row)} fields, expected {p + 1}")
+            raise ValueError(f"{csv_path}: row {line} has {len(row)} fields, expected {p + 1}")
         for j, cell in enumerate(row[:-1]):
             if cell.strip() != "":
-                x[i, j] = float(cell)
+                x[i, j] = _parse_cell(cell, csv_path, line, names[j])
+        if row[-1].strip() not in ("0", "1"):
+            raise ValueError(f"{csv_path}: row {line}, column {LABEL_COLUMN!r}: "
+                             f"label {row[-1]!r} is not 0 or 1")
         y[i] = int(row[-1])
 
     sidecar_path = csv_path.with_suffix(".json")

@@ -42,6 +42,24 @@ def test_etl_missing_table_diagnostic(tmp_path, capsys):
     assert "ADMISSIONS" in capsys.readouterr().err
 
 
+def test_run_skips_split_with_degenerate_training_rows(tmp_path, mimic_demo_dir,
+                                                       mimic_demo_cfg):
+    # on the 7-row demo cohort one fold's training rows never observe
+    # lab_creatinine: that fold is skipped, the rest of the report stands
+    assert main(["etl", "--data-dir", str(mimic_demo_dir),
+                 "--config", str(mimic_demo_cfg), "--out", str(tmp_path)]) == 0
+    assert main(["run", "--data", str(tmp_path / "dataset.csv"), "--folds", "2",
+                 "--out", str(tmp_path / "r")]) == 0
+    payload = json.loads((tmp_path / "r" / "report.json").read_text())
+    setups = {s["name"]: s for s in payload["setups"]}
+    for name in ("after_partitioning", "no_oversampling"):
+        assert len(setups[name]["folds"]) == 1
+        [reason] = setups[name]["skipped"]
+        assert reason.startswith("repeat 0 fold ") and "lab_creatinine" in reason
+    assert len(setups["before_partitioning"]["folds"]) == 2
+    assert len(setups["leaky_holdout"]["folds"]) == 1
+
+
 def test_run_single_setup(tmp_path, capsys):
     data = tmp_path / "d"
     main(["synth", "--n-total", "40", "--n-minority", "6", "--seed", "2",

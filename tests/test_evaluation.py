@@ -198,11 +198,6 @@ def test_summarize_single_value():
     assert summarize([0.7]) == {"mean": 0.7, "std": 0.0}
 
 
-def test_summarize_population_switch():
-    out = summarize([0.8, 1.0], population_std=True)
-    assert out["std"] == pytest.approx(0.1)
-
-
 def test_summarize_empty_rejected():
     with pytest.raises(ValueError):
         summarize([])

@@ -6,8 +6,7 @@ import pytest
 from leakaudit.evaluation import summarize
 from leakaudit.experiment import (RunConfig, SETUP_AFTER, SETUP_BEFORE,
                                   SETUP_LEAKY_HOLDOUT, SETUP_NO_OVERSAMPLING,
-                                  render_report, report_to_dict, run_experiment,
-                                  run_leaky_holdout, run_setup)
+                                  render_report, report_to_dict, run_experiment)
 from leakaudit.forest import ForestConfig
 from leakaudit.resampling import AdasynConfig
 from leakaudit.synth import SynthConfig, generate_cohort
@@ -29,20 +28,20 @@ def cohort():
 
 
 def test_before_partitioning_flags_and_inflates(cohort):
-    rep = run_setup(cohort, small_cfg(SETUP_BEFORE, seed=1))
+    rep = run_experiment(cohort, small_cfg(SETUP_BEFORE, seed=1))
     setup = rep.setups[0]
     assert all(f.contamination.flagged for f in setup.folds)
     assert setup.mean_auroc > 0.9
 
 
 def test_after_partitioning_never_flags(cohort):
-    rep = run_setup(cohort, small_cfg(SETUP_AFTER, seed=1))
+    rep = run_experiment(cohort, small_cfg(SETUP_AFTER, seed=1))
     setup = rep.setups[0]
     assert setup.folds and not any(f.contamination.flagged for f in setup.folds)
 
 
 def test_no_oversampling_has_no_synthetic_rows(cohort):
-    rep = run_setup(cohort, small_cfg(SETUP_NO_OVERSAMPLING, seed=1))
+    rep = run_experiment(cohort, small_cfg(SETUP_NO_OVERSAMPLING, seed=1))
     setup = rep.setups[0]
     for f in setup.folds:
         assert f.contamination.synthetic_rows_in_eval == 0
@@ -50,26 +49,26 @@ def test_no_oversampling_has_no_synthetic_rows(cohort):
 
 
 def test_leakage_gap_on_shared_seeds(cohort):
-    before = run_setup(cohort, small_cfg(SETUP_BEFORE, seed=2)).setups[0]
-    after = run_setup(cohort, small_cfg(SETUP_AFTER, seed=2)).setups[0]
+    before = run_experiment(cohort, small_cfg(SETUP_BEFORE, seed=2)).setups[0]
+    after = run_experiment(cohort, small_cfg(SETUP_AFTER, seed=2)).setups[0]
     assert before.mean_auroc > after.mean_auroc
 
 
 def test_mean_std_consistent_with_fold_list(cohort):
-    setup = run_setup(cohort, small_cfg(SETUP_AFTER, seed=3)).setups[0]
+    setup = run_experiment(cohort, small_cfg(SETUP_AFTER, seed=3)).setups[0]
     stats = summarize([f.auroc for f in setup.folds])
     assert setup.mean_auroc == pytest.approx(stats["mean"])
     assert setup.std_auroc == pytest.approx(stats["std"])
 
 
 def test_identical_config_identical_report(cohort):
-    a = run_setup(cohort, small_cfg(SETUP_BEFORE, seed=5))
-    b = run_setup(cohort, small_cfg(SETUP_BEFORE, seed=5))
+    a = run_experiment(cohort, small_cfg(SETUP_BEFORE, seed=5))
+    b = run_experiment(cohort, small_cfg(SETUP_BEFORE, seed=5))
     assert report_to_dict([a]) == report_to_dict([b])
 
 
 def test_repeats_pool_folds(cohort):
-    rep = run_setup(cohort, small_cfg(SETUP_AFTER, seed=6, repeats=2))
+    rep = run_experiment(cohort, small_cfg(SETUP_AFTER, seed=6, repeats=2))
     setup = rep.setups[0]
     assert len(setup.folds) == 10  # 2 repeats x 5 folds
     assert {f.repeat for f in setup.folds} == {0, 1}
@@ -97,7 +96,7 @@ def test_signal_free_data_scores_near_chance():
 def test_undefined_folds_skipped_and_logged():
     # 3 positives, k=5: two folds have no positive and must be skipped
     ds = generate_cohort(SynthConfig(n_total=40, n_minority=3, seed=9))
-    rep = run_setup(ds, small_cfg(SETUP_NO_OVERSAMPLING, seed=7, folds=5))
+    rep = run_experiment(ds, small_cfg(SETUP_NO_OVERSAMPLING, seed=7, folds=5))
     setup = rep.setups[0]
     assert len(setup.folds) == 3
     assert sum("single-class test fold" in s for s in setup.skipped) == 2
@@ -112,20 +111,20 @@ def test_mixed_provenance_input_rejected(cohort):
     aug = adasyn(imputed, rows, AdasynConfig(seed=0))
     assert (aug.provenance == SYNTHETIC).any()
     with pytest.raises(ValueError, match="all-original"):
-        run_setup(aug, small_cfg(SETUP_AFTER))
+        run_experiment(aug, small_cfg(SETUP_AFTER))
 
 
 def test_single_class_input_rejected():
     ds = make_dataset(np.random.default_rng(0).standard_normal((10, 2)),
                       np.ones(10, dtype=int))
     with pytest.raises(ValueError, match="both classes"):
-        run_setup(ds, small_cfg(SETUP_AFTER))
+        run_experiment(ds, small_cfg(SETUP_AFTER))
 
 
 # --- leaky holdout -----------------------------------------------------
 
 def test_holdout_contamination_flagged(cohort):
-    rep = run_leaky_holdout(cohort, small_cfg(SETUP_LEAKY_HOLDOUT, seed=11))
+    rep = run_experiment(cohort, small_cfg(SETUP_LEAKY_HOLDOUT, seed=11))
     fold = rep.setups[0].folds[0]
     assert fold.contamination.flagged
     assert fold.contamination.eval_class_counts[1] > 8  # more positives than exist
@@ -136,7 +135,7 @@ def test_holdout_contamination_flagged(cohort):
 def test_holdout_on_balanced_input_is_plain_split():
     rng = np.random.default_rng(13)
     ds = make_dataset(rng.standard_normal((40, 3)), np.array([0, 1] * 20))
-    rep = run_leaky_holdout(ds, small_cfg(SETUP_LEAKY_HOLDOUT, seed=12))
+    rep = run_experiment(ds, small_cfg(SETUP_LEAKY_HOLDOUT, seed=12))
     fold = rep.setups[0].folds[0]
     assert not fold.contamination.flagged
     assert fold.contamination.synthetic_rows_in_eval == 0
@@ -144,8 +143,8 @@ def test_holdout_on_balanced_input_is_plain_split():
 
 
 def test_holdout_deterministic(cohort):
-    a = run_leaky_holdout(cohort, small_cfg(SETUP_LEAKY_HOLDOUT, seed=21))
-    b = run_leaky_holdout(cohort, small_cfg(SETUP_LEAKY_HOLDOUT, seed=21))
+    a = run_experiment(cohort, small_cfg(SETUP_LEAKY_HOLDOUT, seed=21))
+    b = run_experiment(cohort, small_cfg(SETUP_LEAKY_HOLDOUT, seed=21))
     assert report_to_dict([a]) == report_to_dict([b])
 
 

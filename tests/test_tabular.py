@@ -157,3 +157,16 @@ def test_read_without_sidecar_infers_binary(tmp_path):
 def test_read_missing_file_raises(tmp_path):
     with pytest.raises(FileNotFoundError):
         read_dataset(tmp_path / "absent.csv")
+
+
+@pytest.mark.parametrize("bad_row, message", [
+    ("inf,0", "column 'a': 'inf' is not a finite number"),
+    ("abc,0", "column 'a': 'abc' is not a finite number"),
+    ("1.5,2", "column 'label': label '2' is not 0 or 1"),
+])
+def test_read_rejects_bad_cell_naming_file_row_column(tmp_path, bad_row, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"a,label\n1.0,0\n{bad_row}\n")
+    with pytest.raises(ValueError) as err:
+        read_dataset(path)
+    assert str(err.value) == f"{path}: row 3, {message}"

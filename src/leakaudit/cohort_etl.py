@@ -14,6 +14,14 @@ The extraction applies four rules to the relational tables:
 
 The per-stay length of stay, binarized at a configurable threshold,
 is the prediction target.
+
+The tables are read in two passes.  Pass 1, :func:`load_tables`, reads
+ADMISSIONS, ICUSTAYS, DIAGNOSES_ICD and PATIENTS into row dicts, from which
+:func:`extract_cohort` fixes the cohort; of PRESCRIPTIONS and CHARTEVENTS it
+only checks the file and header.  Pass 2, :func:`build_dataset`, streams each
+event table once and keeps, for cohort subjects only, a flag per medication
+key and the values of each lab key.  Memory is thus bounded by the cohort
+(and the four small tables), not by the number of events.
 """
 
 from __future__ import annotations
@@ -82,65 +90,19 @@ DEFAULT_SCHEMA = {
 
 
 @dataclass(frozen=True)
-class Admission:
-    subject_id: str
-    hadm_id: str
-    admit_time: datetime | None
-    disch_time: datetime | None
-    admission_type: str
-    diagnosis: str
-    expire_flag: int
-
-
-@dataclass(frozen=True)
-class IcuStay:
-    subject_id: str
-    hadm_id: str
-    icustay_id: str
-    in_time: datetime | None
-    out_time: datetime | None
-    los: float | None  # fractional days
-
-
-@dataclass(frozen=True)
-class DiagnosisIcd:
-    subject_id: str
-    hadm_id: str
-    icd9_code: str
-
-
-@dataclass(frozen=True)
-class Prescription:
-    subject_id: str
-    hadm_id: str
-    icustay_id: str
-    drug: str
-
-
-@dataclass(frozen=True)
-class ChartEvent:
-    subject_id: str
-    hadm_id: str
-    icustay_id: str
-    item_key: str
-    value_num: float | None
-
-
-@dataclass(frozen=True)
-class PatientRow:
-    subject_id: str
-    dob: datetime | None
-    gender: str
-
-
-@dataclass(frozen=True)
 class RawTables:
-    admissions: list[Admission]
-    icustays: list[IcuStay]
-    diagnoses_icd: list[DiagnosisIcd]
-    prescriptions: list[Prescription]
-    chartevents: list[ChartEvent]
-    patients: list[PatientRow]
+    """Pass-1 tables: row dicts keyed by the field names of :data:`DEFAULT_SCHEMA`.
+
+    The two event tables are not held here; ``directory`` and ``colmaps``
+    (table -> {field -> column name, "file" -> filename}) say where
+    :func:`build_dataset` streams them from.
+    """
+    admissions: list[dict]
+    icustays: list[dict]
+    diagnoses_icd: list[dict]
+    patients: list[dict]
+    directory: Path
+    colmaps: dict
 
 
 @dataclass(frozen=True)
@@ -200,88 +162,70 @@ def _parse_flag(cell: str) -> int:
     return 1 if v == 1 else 0
 
 
-def _read_table(directory: Path, table: str, colmap: dict, required: list[str]):
-    """Read one CSV and yield per-row dicts keyed by canonical field name."""
+# The cells that extraction reads as times, flags or numbers; every other
+# cell stays a stripped string.
+_PARSERS = {
+    "admit_time": _parse_time,
+    "expire_flag": _parse_flag,
+    "in_time": _parse_time,
+    "out_time": _parse_time,
+    "los": _parse_float,
+    "value_num": _parse_float,
+    "dob": _parse_time,
+}
+
+# event tables: checked by load_tables, streamed once by build_dataset
+_STREAMED = ("prescriptions", "chartevents")
+
+
+def _check_table(directory: Path, table: str, colmap: dict) -> None:
+    """Fail unless the table's file exists and its header has every column."""
     path = directory / colmap["file"]
     if not path.exists():
         raise FileNotFoundError(f"{table.upper()}: file {colmap['file']!r} not found in {directory}")
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for key in required:
-            if colmap[key] not in header:
-                raise ValueError(f"{table.upper()}: column {colmap[key]!r} not found")
-        for raw in reader:
-            yield {key: (raw.get(colmap[key]) or "").strip() for key in required}
+        header = next(csv.reader(fh), [])
+    for key, column in colmap.items():
+        if key != "file" and column not in header:
+            raise ValueError(f"{table.upper()}: column {column!r} not found")
+
+
+def _read_rows(directory: Path, colmap: dict):
+    """Yield one dict per CSV row, keyed by canonical field name."""
+    fields = {key: column for key, column in colmap.items() if key != "file"}
+    parsers = {key: _PARSERS[key] for key in fields if key in _PARSERS}
+    with open(directory / colmap["file"], newline="") as fh:
+        for raw in csv.DictReader(fh):
+            row = {key: (raw.get(column) or "").strip() for key, column in fields.items()}
+            for key, parse in parsers.items():
+                row[key] = parse(row[key])
+            yield row
 
 
 def load_tables(directory, schema: dict | None = None) -> RawTables:
-    """Load the six MIMIC-shaped CSV files from ``directory``.
+    """Pass 1: load the four small tables from ``directory``.
 
     ``schema`` overrides entries of :data:`DEFAULT_SCHEMA` (table ->
-    {field -> column name, "file" -> filename}).  Unparseable numeric
-    cells become missing values; row order is preserved.
+    {field -> column name, "file" -> filename}); a table or field that
+    :data:`DEFAULT_SCHEMA` lacks raises ``ValueError``.  The time, flag and
+    number cells that extraction reads are parsed, unparseable ones becoming
+    ``None``; row order is preserved.  PRESCRIPTIONS and CHARTEVENTS are
+    only checked here (file present, every column in the header); their
+    rows are read by :func:`build_dataset`.
     """
     directory = Path(directory)
-    colmaps = {}
     schema = schema or {}
-    for table, defaults in DEFAULT_SCHEMA.items():
-        merged = dict(defaults)
-        merged.update(schema.get(table, {}))
-        colmaps[table] = merged
-
-    admissions = [
-        Admission(
-            subject_id=r["subject_id"],
-            hadm_id=r["hadm_id"],
-            admit_time=_parse_time(r["admit_time"]),
-            disch_time=_parse_time(r["disch_time"]),
-            admission_type=r["admission_type"],
-            diagnosis=r["diagnosis"],
-            expire_flag=_parse_flag(r["expire_flag"]),
-        )
-        for r in _read_table(directory, "admissions", colmaps["admissions"],
-                             ["subject_id", "hadm_id", "admit_time", "disch_time",
-                              "admission_type", "diagnosis", "expire_flag"])
-    ]
-    icustays = [
-        IcuStay(
-            subject_id=r["subject_id"],
-            hadm_id=r["hadm_id"],
-            icustay_id=r["icustay_id"],
-            in_time=_parse_time(r["in_time"]),
-            out_time=_parse_time(r["out_time"]),
-            los=_parse_float(r["los"]),
-        )
-        for r in _read_table(directory, "icustays", colmaps["icustays"],
-                             ["subject_id", "hadm_id", "icustay_id", "in_time",
-                              "out_time", "los"])
-    ]
-    diagnoses = [
-        DiagnosisIcd(subject_id=r["subject_id"], hadm_id=r["hadm_id"], icd9_code=r["icd9_code"])
-        for r in _read_table(directory, "diagnoses_icd", colmaps["diagnoses_icd"],
-                             ["subject_id", "hadm_id", "icd9_code"])
-    ]
-    prescriptions = [
-        Prescription(subject_id=r["subject_id"], hadm_id=r["hadm_id"],
-                     icustay_id=r["icustay_id"], drug=r["drug"])
-        for r in _read_table(directory, "prescriptions", colmaps["prescriptions"],
-                             ["subject_id", "hadm_id", "icustay_id", "drug"])
-    ]
-    chartevents = [
-        ChartEvent(subject_id=r["subject_id"], hadm_id=r["hadm_id"],
-                   icustay_id=r["icustay_id"], item_key=r["item_key"],
-                   value_num=_parse_float(r["value_num"]))
-        for r in _read_table(directory, "chartevents", colmaps["chartevents"],
-                             ["subject_id", "hadm_id", "icustay_id", "item_key", "value_num"])
-    ]
-    patients = [
-        PatientRow(subject_id=r["subject_id"], dob=_parse_time(r["dob"]), gender=r["gender"])
-        for r in _read_table(directory, "patients", colmaps["patients"],
-                             ["subject_id", "dob", "gender"])
-    ]
-    return RawTables(admissions=admissions, icustays=icustays, diagnoses_icd=diagnoses,
-                     prescriptions=prescriptions, chartevents=chartevents, patients=patients)
+    for table, fields in schema.items():
+        for name in fields:
+            if name not in DEFAULT_SCHEMA.get(table, {}):
+                raise ValueError(f"unknown config key schema.{table}.{name}")
+    colmaps = {table: {**defaults, **schema.get(table, {})}
+               for table, defaults in DEFAULT_SCHEMA.items()}
+    for table, colmap in colmaps.items():
+        _check_table(directory, table, colmap)
+    small = {table: list(_read_rows(directory, colmap))
+             for table, colmap in colmaps.items() if table not in _STREAMED}
+    return RawTables(**small, directory=directory, colmaps=colmaps)
 
 
 def _id_key(s: str):
@@ -289,12 +233,12 @@ def _id_key(s: str):
     return (0, int(s), "") if s.isdigit() else (1, 0, s)
 
 
-def _stay_los(stay: IcuStay) -> float | None:
+def _stay_los(stay: dict) -> float | None:
     """LOS in days for one ICU stay; falls back to out-in when LOS is missing."""
-    if stay.los is not None and stay.los >= 0:
-        return float(stay.los)
-    if stay.in_time is not None and stay.out_time is not None:
-        days = (stay.out_time - stay.in_time).total_seconds() / 86400.0
+    if stay["los"] is not None and stay["los"] >= 0:
+        return float(stay["los"])
+    if stay["in_time"] is not None and stay["out_time"] is not None:
+        days = (stay["out_time"] - stay["in_time"]).total_seconds() / 86400.0
         if days >= 0:
             return days
     return None
@@ -305,58 +249,58 @@ def extract_cohort(tables: RawTables, cfg: CohortConfig) -> CohortTable:
     keyword = cfg.diagnosis_keyword.lower()
 
     # rule 1: admission-level expire-flag removal
-    admissions = [a for a in tables.admissions if a.expire_flag != 1 and a.hadm_id]
+    admissions = [a for a in tables.admissions if a["expire_flag"] != 1 and a["hadm_id"]]
 
-    by_subject: dict[str, list[Admission]] = {}
+    by_subject: dict[str, list[dict]] = {}
     for a in admissions:
-        by_subject.setdefault(a.subject_id, []).append(a)
+        by_subject.setdefault(a["subject_id"], []).append(a)
 
     # ICU stays with a usable id and length of stay, grouped by admission
-    stays_by_hadm: dict[str, list[IcuStay]] = {}
+    stays_by_hadm: dict[str, list[dict]] = {}
     for s in tables.icustays:
-        if s.icustay_id and _stay_los(s) is not None:
-            stays_by_hadm.setdefault(s.hadm_id, []).append(s)
+        if s["icustay_id"] and _stay_los(s) is not None:
+            stays_by_hadm.setdefault(s["hadm_id"], []).append(s)
 
     # rule 3 lookup: subjects with a qualifying ICD-9 code
     icd_subjects = {
-        d.subject_id
+        d["subject_id"]
         for d in tables.diagnoses_icd
-        if any(d.icd9_code.startswith(p) for p in cfg.icd9_prefixes)
+        if any(d["icd9_code"].startswith(p) for p in cfg.icd9_prefixes)
     }
 
-    genders = {p.subject_id: p.gender for p in tables.patients}
-    dobs = {p.subject_id: p.dob for p in tables.patients}
+    genders = {p["subject_id"]: p["gender"] for p in tables.patients}
+    dobs = {p["subject_id"]: p["dob"] for p in tables.patients}
 
     rows = []
     for subject_id in sorted(by_subject):
         subj_admissions = by_subject[subject_id]
         # rule 2: keyword in some surviving admission's diagnosis text
-        if not any(keyword in a.diagnosis.lower() for a in subj_admissions):
+        if not any(keyword in a["diagnosis"].lower() for a in subj_admissions):
             continue
         # rule 2: must have an ICU stay attached to a surviving admission
-        eligible = [a for a in subj_admissions if stays_by_hadm.get(a.hadm_id)]
+        eligible = [a for a in subj_admissions if stays_by_hadm.get(a["hadm_id"])]
         if not eligible:
             continue
         # rule 3: ICD-9 prefix filter
         if subject_id not in icd_subjects:
             continue
         # rule 4: latest admission by admit time, ties to the larger hadm_id
-        last = max(eligible, key=lambda a: (a.admit_time or datetime.min, _id_key(a.hadm_id)))
-        stays = stays_by_hadm[last.hadm_id]
-        stay = max(stays, key=lambda s: (s.in_time or datetime.min, _id_key(s.icustay_id)))
+        last = max(eligible, key=lambda a: (a["admit_time"] or datetime.min, _id_key(a["hadm_id"])))
+        stays = stays_by_hadm[last["hadm_id"]]
+        stay = max(stays, key=lambda s: (s["in_time"] or datetime.min, _id_key(s["icustay_id"])))
 
         age = None
         dob = dobs.get(subject_id)
-        if dob is not None and last.admit_time is not None:
-            age = float(int((last.admit_time - dob).days / 365.25))
+        if dob is not None and last["admit_time"] is not None:
+            age = float(int((last["admit_time"] - dob).days / 365.25))
         rows.append(CohortRow(
             subject_id=subject_id,
-            last_hadm_id=last.hadm_id,
-            last_icustay_id=stay.icustay_id,
+            last_hadm_id=last["hadm_id"],
+            last_icustay_id=stay["icustay_id"],
             los=_stay_los(stay),
             gender=genders.get(subject_id, ""),
             age_years=age,
-            admission_type=last.admission_type,
+            admission_type=last["admission_type"],
         ))
     return CohortTable(rows=rows)
 
@@ -371,6 +315,13 @@ def label_los(los: float, threshold: float) -> int:
 def _normalize_key(s: str) -> str:
     # med/lab keys are matched lowercase with spaces stripped, by containment
     return s.lower().replace(" ", "")
+
+
+def _stream(tables: RawTables, table: str, subjects: set[str]):
+    """Yield the rows of one event table whose subject is in ``subjects``."""
+    for row in _read_rows(tables.directory, tables.colmaps[table]):
+        if row["subject_id"] in subjects:
+            yield row
 
 
 def build_dataset(cohort: CohortTable, tables: RawTables, cfg: CohortConfig) -> Dataset:
@@ -388,14 +339,21 @@ def build_dataset(cohort: CohortTable, tables: RawTables, cfg: CohortConfig) -> 
             raise ValueError(f"duplicate feature key {k!r}; medication and lab keys must be disjoint")
         seen.add(k)
 
-    drugs_by_subject: dict[str, list[str]] = {}
-    for p in tables.prescriptions:
-        drugs_by_subject.setdefault(p.subject_id, []).append(_normalize_key(p.drug))
-    events_by_subject: dict[str, list[tuple[str, float]]] = {}
-    for e in tables.chartevents:
-        if e.value_num is not None:
-            events_by_subject.setdefault(e.subject_id, []).append(
-                (_normalize_key(e.item_key), e.value_num))
+    # pass 2: stream each event table once, keeping cohort subjects only
+    subjects = set(cohort.subject_ids())
+    meds: set[tuple[str, str]] = set()  # (subject, key) with a matching drug
+    for p in _stream(tables, "prescriptions", subjects):
+        drug = _normalize_key(p["drug"])
+        meds.update((p["subject_id"], k) for k in med_keys if k in drug)
+    # every value per (subject, lab key), in file order: np.mean sums long
+    # lists pairwise, so a running sum would change the last bits
+    labs: dict[tuple[str, str], list[float]] = {}
+    for e in _stream(tables, "chartevents", subjects):
+        if e["value_num"] is not None:
+            item = _normalize_key(e["item_key"])
+            for k in lab_keys:
+                if k in item:
+                    labs.setdefault((e["subject_id"], k), []).append(e["value_num"])
 
     adm_types = sorted({r.admission_type for r in cohort.rows})
     columns = (
@@ -410,14 +368,12 @@ def build_dataset(cohort: CohortTable, tables: RawTables, cfg: CohortConfig) -> 
     x = np.full((n, len(columns)), np.nan)
     y = np.zeros(n, dtype=np.int64)
     for i, row in enumerate(cohort.rows):
-        drugs = drugs_by_subject.get(row.subject_id, [])
-        feats = [1.0 if any(k in d for d in drugs) else 0.0 for k in med_keys]
+        feats = [1.0 if (row.subject_id, k) in meds else 0.0 for k in med_keys]
         feats.append(1.0 if row.gender.upper().startswith("M") else 0.0)
         feats.append(1.0 if row.age_years is not None and row.age_years > cfg.age_cutoff_years else 0.0)
         feats.extend(1.0 if row.admission_type == t else 0.0 for t in adm_types)
-        events = events_by_subject.get(row.subject_id, [])
         for k in lab_keys:
-            values = [v for key, v in events if k in key]
+            values = labs.get((row.subject_id, k))
             feats.append(float(np.mean(values)) if values else np.nan)
         x[i] = feats
         y[i] = label_los(row.los, cfg.los_threshold_days)

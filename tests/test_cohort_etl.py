@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from leakaudit.cohort_etl import (CohortConfig, build_dataset, extract_cohort,
-                                  label_los, load_tables)
+from leakaudit.cohort_etl import (DEFAULT_SCHEMA, CohortConfig, build_dataset,
+                                  extract_cohort, label_los, load_tables)
 from leakaudit.tabular import BINARY, NUMERIC, ORIGINAL
 
 from conftest import write_empty_tables
@@ -35,47 +35,62 @@ def test_load_empty_tables(tmp_path):
     assert tables.admissions == []
     assert tables.icustays == []
     assert tables.diagnoses_icd == []
-    assert tables.prescriptions == []
-    assert tables.chartevents == []
     assert tables.patients == []
 
 
 def test_load_admissions_roundtrip(demo_tables):
     assert len(demo_tables.admissions) == 14
     first = demo_tables.admissions[0]
-    assert first.subject_id == "1"
-    assert first.hadm_id == "101"
-    assert first.admission_type == "EMERGENCY"
-    assert first.diagnosis == "LUNG CANCER;PNEUMONIA"
-    assert first.expire_flag == 0
-    assert first.admit_time.year == 2111
+    assert first["subject_id"] == "1"
+    assert first["hadm_id"] == "101"
+    assert first["admission_type"] == "EMERGENCY"
+    assert first["diagnosis"] == "LUNG CANCER;PNEUMONIA"
+    assert first["expire_flag"] == 0
+    assert first["admit_time"].year == 2111
     # quoted field with an embedded comma survives parsing
-    assert demo_tables.admissions[1].diagnosis == "METASTATIC LUNG CANCER, SMALL CELL"
+    assert demo_tables.admissions[1]["diagnosis"] == "METASTATIC LUNG CANCER, SMALL CELL"
 
 
 def test_unparseable_numeric_cell_becomes_missing(demo_tables):
-    blank_los = [s for s in demo_tables.icustays if s.subject_id == "12"]
-    assert len(blank_los) == 1 and blank_los[0].los is None
-    blank_value = [e for e in demo_tables.chartevents
-                   if e.subject_id == "1" and e.value_num is None]
-    assert len(blank_value) == 1
+    # the blank CHARTEVENTS value of subject 1 is covered by test_lab_mean_and_missing
+    blank_los = [s for s in demo_tables.icustays if s["subject_id"] == "12"]
+    assert len(blank_los) == 1 and blank_los[0]["los"] is None
 
 
-def test_missing_file_names_the_table(tmp_path):
+@pytest.mark.parametrize("table", sorted(DEFAULT_SCHEMA))
+def test_missing_file_names_the_table(tmp_path, table):
+    # the event tables fail here too, before build_dataset streams a row
     write_empty_tables(tmp_path)
-    (tmp_path / "ICUSTAYS.csv").unlink()
-    with pytest.raises(FileNotFoundError, match="ICUSTAYS"):
+    (tmp_path / DEFAULT_SCHEMA[table]["file"]).unlink()
+    with pytest.raises(FileNotFoundError, match=table.upper()):
         load_tables(tmp_path)
 
 
-def test_missing_column_names_table_and_column(tmp_path):
+@pytest.mark.parametrize("table, column", [
+    ("admissions", "HOSPITAL_EXPIRE_FLAG"),
+    ("icustays", "LOS"),
+    ("diagnoses_icd", "ICD9_CODE"),
+    ("prescriptions", "DRUG"),
+    ("chartevents", "VALUENUM"),
+    ("patients", "GENDER"),
+])
+def test_missing_column_names_table_and_column(tmp_path, table, column):
     write_empty_tables(tmp_path)
-    adm = tmp_path / "ADMISSIONS.csv"
-    header = adm.read_text().strip().split(",")
-    header.remove("HOSPITAL_EXPIRE_FLAG")
-    adm.write_text(",".join(header) + "\n")
-    with pytest.raises(ValueError, match="ADMISSIONS: column 'HOSPITAL_EXPIRE_FLAG' not found"):
+    path = tmp_path / DEFAULT_SCHEMA[table]["file"]
+    header = path.read_text().strip().split(",")
+    header.remove(column)
+    path.write_text(",".join(header) + "\n")
+    with pytest.raises(ValueError, match=f"{table.upper()}: column '{column}' not found"):
         load_tables(tmp_path)
+
+
+@pytest.mark.parametrize("table, field", [
+    ("chartevents", "itemkey"),  # a typo for item_key
+    ("labevents", "file"),
+])
+def test_unknown_schema_key_rejected(mimic_demo_dir, table, field):
+    with pytest.raises(ValueError, match=f"schema.{table}.{field}"):
+        load_tables(mimic_demo_dir, {table: {field: "LABEL"}})
 
 
 def test_schema_override_renames_columns(tmp_path, mimic_demo_dir):
@@ -84,7 +99,7 @@ def test_schema_override_renames_columns(tmp_path, mimic_demo_dir):
     for name in ("ICUSTAYS", "DIAGNOSES_ICD", "PRESCRIPTIONS", "CHARTEVENTS", "PATIENTS"):
         (tmp_path / f"{name}.csv").write_text((mimic_demo_dir / f"{name}.csv").read_text())
     tables = load_tables(tmp_path, {"admissions": {"file": "adm.csv", "expire_flag": "DIED"}})
-    assert sum(a.expire_flag for a in tables.admissions) == 2
+    assert sum(a["expire_flag"] for a in tables.admissions) == 2
 
 
 # --- extract_cohort ----------------------------------------------------
@@ -140,13 +155,13 @@ def test_los_fallback_from_stay_times(demo_cohort):
 def test_one_row_per_subject_and_subset(demo_tables, demo_cohort):
     ids = demo_cohort.subject_ids()
     assert len(ids) == len(set(ids))
-    assert set(ids) <= {a.subject_id for a in demo_tables.admissions}
+    assert set(ids) <= {a["subject_id"] for a in demo_tables.admissions}
 
 
 def test_uppercasing_diagnoses_leaves_cohort_unchanged(demo_tables, demo_cohort):
     import dataclasses
     upper = dataclasses.replace(demo_tables, admissions=[
-        dataclasses.replace(a, diagnosis=a.diagnosis.upper()) for a in demo_tables.admissions])
+        {**a, "diagnosis": a["diagnosis"].upper()} for a in demo_tables.admissions])
     assert extract_cohort(upper, DEMO_CFG).subject_ids() == demo_cohort.subject_ids()
 
 

@@ -6,6 +6,7 @@ these bytes alone.  A change that moves the numbers on purpose re-pins them
 with ``PYTHONPATH=src python tests/test_golden.py`` and says why.
 """
 
+import sys
 import tempfile
 from pathlib import Path
 
@@ -17,6 +18,9 @@ from leakaudit.tabular import write_dataset
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "golden"
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import mimic_tables  # noqa: E402  (the benchmark's MIMIC-shaped table generator)
 
 COHORTS = {
     "default": SynthConfig(),
@@ -47,10 +51,20 @@ def run_report(name: str, work: Path) -> bytes:
     return (out / "report.json").read_bytes()
 
 
-def etl_dataset(work: Path) -> bytes:
-    assert cli.main(["etl", "--data-dir", str(FIXTURES / "mimic_demo"),
-                     "--config", str(FIXTURES / "mimic_demo.cfg"), "--out", str(work)]) == 0
-    return (work / "dataset.csv").read_bytes()
+def etl_dataset(work: Path, data_dir: Path = FIXTURES / "mimic_demo",
+                config: Path = FIXTURES / "mimic_demo.cfg") -> bytes:
+    assert cli.main(["etl", "--data-dir", str(data_dir), "--config", str(config),
+                     "--out", str(work / "out")]) == 0
+    return (work / "out" / "dataset.csv").read_bytes()
+
+
+def generated_etl_dataset(work: Path) -> bytes:
+    # 300 subjects, 15,945 rows, a 118-patient cohort; 66 (subject, lab)
+    # means average 8 or more values, which np.mean sums pairwise, so unlike
+    # the demo tables this pins the summation order down to the last bit
+    tables = work / "tables"
+    mimic_tables.generate_tables(tables, 11, n_subjects=300)
+    return etl_dataset(work, tables, tables / "extraction.cfg")
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
@@ -62,6 +76,10 @@ def test_mimic_demo_dataset_matches_golden(tmp_path):
     assert etl_dataset(tmp_path) == (GOLDEN / "mimic_demo.dataset.csv").read_bytes()
 
 
+def test_generated_tables_dataset_matches_golden(tmp_path):
+    assert generated_etl_dataset(tmp_path) == (GOLDEN / "generated_300.dataset.csv").read_bytes()
+
+
 def repin() -> None:
     GOLDEN.mkdir(parents=True, exist_ok=True)
     for name in RUNS:
@@ -69,6 +87,8 @@ def repin() -> None:
             (GOLDEN / f"{name}.report.json").write_bytes(run_report(name, Path(work)))
     with tempfile.TemporaryDirectory() as work:
         (GOLDEN / "mimic_demo.dataset.csv").write_bytes(etl_dataset(Path(work)))
+    with tempfile.TemporaryDirectory() as work:
+        (GOLDEN / "generated_300.dataset.csv").write_bytes(generated_etl_dataset(Path(work)))
 
 
 if __name__ == "__main__":

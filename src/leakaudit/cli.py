@@ -12,6 +12,7 @@ Exit code 0 on success, 1 with a diagnostic on stderr for any error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -38,16 +39,18 @@ def _build_parser() -> argparse.ArgumentParser:
                                                  "in imbalanced-classification pipelines.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_synth = sub.add_parser("synth", help="generate a synthetic cohort dataset")
-    p_synth.add_argument("--n-total", type=int, default=112)
-    p_synth.add_argument("--n-minority", type=int, default=10)
-    p_synth.add_argument("--n-binary", type=int, default=10)
-    p_synth.add_argument("--n-numeric", type=int, default=10)
-    p_synth.add_argument("--n-informative", type=int, default=4)
-    p_synth.add_argument("--signal", type=float, default=1.0,
+    # flags without a default: a setting left out keeps its SynthConfig default
+    p_synth = sub.add_parser("synth", help="generate a synthetic cohort dataset",
+                             argument_default=argparse.SUPPRESS)
+    p_synth.add_argument("--n-total", type=int)
+    p_synth.add_argument("--n-minority", type=int)
+    p_synth.add_argument("--n-binary", type=int, dest="n_binary_features")
+    p_synth.add_argument("--n-numeric", type=int, dest="n_numeric_features")
+    p_synth.add_argument("--n-informative", type=int)
+    p_synth.add_argument("--signal", type=float, dest="signal_strength",
                          help="class mean shift on informative features")
-    p_synth.add_argument("--missing-rate", type=float, default=0.1)
-    p_synth.add_argument("--seed", type=int, default=0)
+    p_synth.add_argument("--missing-rate", type=float)
+    p_synth.add_argument("--seed", type=int)
     p_synth.add_argument("--out", type=Path, required=True, help="output directory")
 
     p_etl = sub.add_parser("etl", help="extract a dataset from MIMIC-shaped CSVs")
@@ -57,15 +60,18 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="key-value config with schema map and feature key lists")
     p_etl.add_argument("--out", type=Path, required=True, help="output directory")
 
-    p_run = sub.add_parser("run", help="run experiment setups on a dataset CSV")
+    p_run = sub.add_parser("run", help="run experiment setups on a dataset CSV",
+                           argument_default=argparse.SUPPRESS)
     p_run.add_argument("--data", type=Path, required=True, help="dataset CSV")
     p_run.add_argument("--setup", choices=["i", "ii", "iii", "holdout", "all"], default="all")
-    p_run.add_argument("--folds", type=int, default=None)
-    p_run.add_argument("--seed", type=int, default=None, help="master seed")
-    p_run.add_argument("--repeats", type=int, default=None)
-    p_run.add_argument("--beta", type=float, default=None, help="oversampling balance level")
-    p_run.add_argument("--k-neighbors", type=int, default=None)
-    p_run.add_argument("--trees", type=int, default=None)
+    # each setting flag sets a config key, and like a file line only when given
+    p_run.add_argument("--folds", type=int, dest="run.folds")
+    p_run.add_argument("--seed", type=int, dest="run.seed", help="master seed")
+    p_run.add_argument("--repeats", type=int, dest="run.repeats")
+    p_run.add_argument("--beta", type=float, dest="adasyn.beta",
+                       help="oversampling balance level")
+    p_run.add_argument("--k-neighbors", type=int, dest="adasyn.k_neighbors")
+    p_run.add_argument("--trees", type=int, dest="forest.trees")
     p_run.add_argument("--config", type=Path, default=None, help="key-value config file")
     p_run.add_argument("--out", type=Path, required=True, help="output directory")
 
@@ -76,16 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_synth(args) -> int:
-    cfg = synth.SynthConfig(
-        n_total=args.n_total,
-        n_minority=args.n_minority,
-        n_binary_features=args.n_binary,
-        n_numeric_features=args.n_numeric,
-        n_informative=args.n_informative,
-        signal_strength=args.signal,
-        missing_rate=args.missing_rate,
-        seed=args.seed,
-    )
+    fields = {f.name for f in dataclasses.fields(synth.SynthConfig)}
+    cfg = synth.SynthConfig(**{k: v for k, v in vars(args).items() if k in fields})
     ds = synth.generate_cohort(cfg)
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / "dataset.csv"
@@ -110,40 +108,20 @@ def _cmd_etl(args) -> int:
     return 0
 
 
-def _run_config(args, values: dict, setup: str) -> RunConfig:
-    # precedence: defaults < config file < CLI flags
-    folds = args.folds if args.folds is not None else cfgmod.get_int(values, "run.folds", 10)
-    seed = args.seed if args.seed is not None else cfgmod.get_int(values, "run.seed", 0)
-    repeats = args.repeats if args.repeats is not None else cfgmod.get_int(values, "run.repeats", 1)
-    beta = args.beta if args.beta is not None else cfgmod.get_float(values, "adasyn.beta", 1.0)
-    k = (args.k_neighbors if args.k_neighbors is not None
-         else cfgmod.get_int(values, "adasyn.k_neighbors", 5))
-    trees = args.trees if args.trees is not None else cfgmod.get_int(values, "forest.trees", 100)
-    max_depth = cfgmod.get_int(values, "forest.max_depth", None)
-    min_leaf = cfgmod.get_int(values, "forest.min_leaf", 1)
-    mtry = cfgmod.get_int(values, "forest.mtry", None)
-    bootstrap = cfgmod.get_bool(values, "forest.bootstrap", True)
-    fraction = cfgmod.get_float(values, "run.holdout_test_fraction", 0.30)
-    return RunConfig(
-        setup=setup,
-        folds=folds,
-        holdout_test_fraction=fraction,
-        adasyn=AdasynConfig(k_neighbors=k, beta=beta, seed=seed),
-        forest=ForestConfig(n_trees=trees, max_depth=max_depth, min_leaf=min_leaf,
-                            mtry=mtry, bootstrap=bootstrap, seed=seed),
-        master_seed=seed,
-        repeats=repeats,
-    )
+def _run_config(values: dict, setup: str) -> RunConfig:
+    return RunConfig(setup=setup,
+                     adasyn=AdasynConfig(**cfgmod.section(values, "adasyn")),
+                     forest=ForestConfig(**cfgmod.section(values, "forest")),
+                     **cfgmod.section(values, "run"))
 
 
 def _cmd_run(args) -> int:
+    # precedence: dataclass defaults < config file < CLI flags
     values = cfgmod.parse_config(args.config) if args.config else {}
+    values.update((k, v) for k, v in vars(args).items() if k in cfgmod.KEYS)
     ds = read_dataset(args.data)
     setups = ALL_SETUPS if args.setup == "all" else (_SETUP_ALIASES[args.setup],)
-    reports = []
-    for setup in setups:
-        cfg = _run_config(args, values, setup)
-        reports.append(run_experiment(ds, cfg))
+    reports = [run_experiment(ds, _run_config(values, setup)) for setup in setups]
     paths = render_report(reports, args.out)
     print(f"wrote {paths['json']} and {paths['markdown']}")
     with open(paths["markdown"]) as fh:

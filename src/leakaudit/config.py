@@ -1,22 +1,12 @@
-"""Plain key-value run-config files.
+"""Plain key-value config files.
 
 Format: one ``key = value`` pair per line, ``#`` starts a comment, blank
-lines ignored.  Dotted keys group settings:
-
-    schema.admissions.expire_flag = HOSPITAL_EXPIRE_FLAG
-    schema.chartevents.item_key   = LABEL
-    cohort.diagnosis_keyword      = cancer
-    cohort.icd9_prefixes          = 162
-    cohort.los_threshold_days     = 7
-    cohort.age_cutoff_years       = 60
-    features.medications          = heparin, aspirin
-    features.labs                 = glucose, creatinine
-    run.folds                     = 10
-    adasyn.k_neighbors            = 5
-    adasyn.beta                   = 1.0
-    forest.trees                  = 100
-
-List values are comma-separated.  CLI flags override file values.
+lines ignored, list values comma-separated.  The accepted keys are the
+entries of :data:`KEYS` plus ``schema.<table>.<field>`` (checked against
+``cohort_etl.DEFAULT_SCHEMA`` by ``load_tables``).  Any other key, or a
+value its parser refuses, is rejected with the file, line and key.  CLI
+flags set the same keys and override file values; a key set by neither
+keeps the default of the dataclass field it maps to.
 """
 
 from __future__ import annotations
@@ -26,73 +16,92 @@ from pathlib import Path
 from .cohort_etl import CohortConfig
 
 
-def parse_config(path) -> dict:
-    """Parse a key-value config file into a flat {dotted key: string} dict."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"config file not found: {path}")
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
-    return values
-
-
 def _split_list(value: str) -> tuple[str, ...]:
     return tuple(item.strip() for item in value.split(",") if item.strip())
-
-
-def schema_from_config(values: dict) -> dict:
-    """Collect ``schema.<table>.<field>`` overrides into a nested map."""
-    schema: dict[str, dict[str, str]] = {}
-    for key, value in values.items():
-        parts = key.split(".")
-        if len(parts) == 3 and parts[0] == "schema":
-            schema.setdefault(parts[1], {})[parts[2]] = value
-    return schema
-
-
-def cohort_config_from_config(values: dict) -> CohortConfig:
-    """Build extraction settings from ``cohort.*`` and ``features.*`` keys."""
-    kwargs = {}
-    if "cohort.diagnosis_keyword" in values:
-        kwargs["diagnosis_keyword"] = values["cohort.diagnosis_keyword"]
-    if "cohort.icd9_prefixes" in values:
-        kwargs["icd9_prefixes"] = _split_list(values["cohort.icd9_prefixes"])
-    if "cohort.los_threshold_days" in values:
-        kwargs["los_threshold_days"] = float(values["cohort.los_threshold_days"])
-    if "cohort.age_cutoff_years" in values:
-        kwargs["age_cutoff_years"] = float(values["cohort.age_cutoff_years"])
-    if "features.medications" in values:
-        kwargs["medication_keys"] = _split_list(values["features.medications"])
-    if "features.labs" in values:
-        kwargs["lab_keys"] = _split_list(values["features.labs"])
-    return CohortConfig(**kwargs)
 
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
 
 
-def get_bool(values: dict, key: str, default: bool) -> bool:
-    if key not in values:
-        return default
-    v = values[key].lower()
-    if v in _TRUE:
+def _bool(value: str) -> bool:
+    if value.lower() in _TRUE:
         return True
-    if v in _FALSE:
+    if value.lower() in _FALSE:
         return False
-    raise ValueError(f"{key}: expected a boolean, got {values[key]!r}")
+    raise ValueError(f"expected a boolean, got {value!r}")
 
 
-def get_int(values: dict, key: str, default):
-    return int(values[key]) if key in values else default
+# dotted key -> (section, field of the section's config dataclass, parser);
+# the sections are RunConfig, AdasynConfig, ForestConfig and CohortConfig
+KEYS = {
+    "run.folds": ("run", "folds", int),
+    "run.seed": ("run", "master_seed", int),
+    "run.repeats": ("run", "repeats", int),
+    "run.holdout_test_fraction": ("run", "holdout_test_fraction", float),
+    "adasyn.k_neighbors": ("adasyn", "k_neighbors", int),
+    "adasyn.beta": ("adasyn", "beta", float),
+    "forest.trees": ("forest", "n_trees", int),
+    "forest.max_depth": ("forest", "max_depth", int),
+    "forest.min_leaf": ("forest", "min_leaf", int),
+    "forest.mtry": ("forest", "mtry", int),
+    "forest.bootstrap": ("forest", "bootstrap", _bool),
+    "cohort.diagnosis_keyword": ("cohort", "diagnosis_keyword", str),
+    "cohort.icd9_prefixes": ("cohort", "icd9_prefixes", _split_list),
+    "cohort.los_threshold_days": ("cohort", "los_threshold_days", float),
+    "cohort.age_cutoff_years": ("cohort", "age_cutoff_years", float),
+    "features.medications": ("cohort", "medication_keys", _split_list),
+    "features.labs": ("cohort", "lab_keys", _split_list),
+}
 
 
-def get_float(values: dict, key: str, default):
-    return float(values[key]) if key in values else default
+def parse_config(path) -> dict:
+    """Parse a config file into {dotted key: parsed value}.
+
+    ``schema.*`` values stay strings.  Unknown keys and unparseable values
+    raise ``ValueError`` naming the file, line and key.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"config file not found: {path}")
+    values: dict = {}
+    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        parts = key.split(".")
+        if len(parts) == 3 and parts[0] == "schema":
+            values[key] = value
+        elif key in KEYS:
+            try:
+                values[key] = KEYS[key][2](value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad value for config key {key!r}: "
+                                 f"{exc}") from None
+        else:
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+    return values
+
+
+def section(values: dict, name: str) -> dict:
+    """The keys of one section that ``values`` sets, as {field: value}."""
+    return {KEYS[key][1]: value for key, value in values.items()
+            if key in KEYS and KEYS[key][0] == name}
+
+
+def schema_from_config(values: dict) -> dict:
+    """Collect ``schema.<table>.<field>`` overrides into a nested map."""
+    schema: dict[str, dict[str, str]] = {}
+    for key, value in values.items():
+        if key.startswith("schema."):
+            _, table, field = key.split(".")
+            schema.setdefault(table, {})[field] = value
+    return schema
+
+
+def cohort_config_from_config(values: dict) -> CohortConfig:
+    """Build extraction settings from ``cohort.*`` and ``features.*`` keys."""
+    return CohortConfig(**section(values, "cohort"))

@@ -15,8 +15,9 @@ All four run through one loop in :func:`run_experiment`.  Each repeat
 (1) imputes and oversamples every row when the setup leaks, (2) plans its
 splits - k stratified folds, or the holdout as a one-split plan - and
 (3) trains and scores every split the same way.  A split whose test side
-holds one class, or whose training rows cannot be imputed or oversampled,
-is listed in ``skipped`` and the run carries on.
+holds one class, or whose training rows cannot be imputed, oversampled or
+trained on, is listed in ``skipped`` and the run carries on; so is a leaky
+repeat whose all-row imputation or oversampling fails.
 
 Every stochastic choice is seeded from ``master_seed`` through labeled
 derivation, so identical configs give identical reports and the setups
@@ -26,7 +27,7 @@ share fold plans wherever their shapes allow.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -76,21 +77,10 @@ class RunConfig:
             raise ValueError("repeats must be at least 1")
 
     def echo(self) -> dict:
-        return {
-            "setup": self.setup,
-            "folds": self.folds,
-            "holdout_test_fraction": self.holdout_test_fraction,
-            "master_seed": self.master_seed,
-            "repeats": self.repeats,
-            "adasyn": {"k_neighbors": self.adasyn.k_neighbors, "beta": self.adasyn.beta},
-            "forest": {
-                "n_trees": self.forest.n_trees,
-                "max_depth": self.forest.max_depth,
-                "min_leaf": self.forest.min_leaf,
-                "mtry": self.forest.mtry,
-                "bootstrap": self.forest.bootstrap,
-            },
-        }
+        # the nested seeds are not settings: run_experiment derives them per split
+        echo = asdict(self)
+        del echo["adasyn"]["seed"], echo["forest"]["seed"]
+        return echo
 
 
 @dataclass(frozen=True)
@@ -158,9 +148,13 @@ def run_experiment(ds: Dataset, cfg: RunConfig) -> ExperimentReport:
         work = ds
         if leaky:
             # leak on purpose: fit statistics and oversample on every row
-            imputed = apply_imputer(ds, fit_imputer(ds, all_rows))
-            work = adasyn(imputed, all_rows,
-                          replace(cfg.adasyn, seed=derive_seed(cfg.master_seed, "adasyn", r)))
+            try:
+                imputed = apply_imputer(ds, fit_imputer(ds, all_rows))
+                work = adasyn(imputed, all_rows, replace(
+                    cfg.adasyn, seed=derive_seed(cfg.master_seed, "adasyn", r)))
+            except ValueError as exc:
+                skipped.append(f"repeat {r}: {exc}")
+                continue
         if holdout:
             splits = [_holdout_test_rows(work.y, cfg.holdout_test_fraction,
                                          derive_seed(cfg.master_seed, "holdout", r))]
@@ -179,19 +173,19 @@ def run_experiment(ds: Dataset, cfg: RunConfig) -> ExperimentReport:
                 continue
             train = np.setdiff1d(np.arange(work.n_rows), test)
             train_ds = eval_ds = work
-            if not leaky:
-                # the correct pipeline: statistics and synthetic rows from training rows only
-                try:
+            try:
+                if not leaky:
+                    # the correct pipeline: statistics and synthetic rows from training rows only
                     train_ds = eval_ds = apply_imputer(ds, fit_imputer(ds, train))
                     if cfg.setup == SETUP_AFTER:
                         train_ds = adasyn(eval_ds, train, replace(
                             cfg.adasyn, seed=derive_seed(cfg.master_seed, "adasyn", r, f)))
                         train = np.arange(train_ds.n_rows)
-                except ValueError as exc:
-                    skipped.append(f"{where}: {exc}")
-                    continue
-            model = train_forest(train_ds, train, replace(
-                cfg.forest, seed=derive_seed(cfg.master_seed, "forest", r, f)))
+                model = train_forest(train_ds, train, replace(
+                    cfg.forest, seed=derive_seed(cfg.master_seed, "forest", r, f)))
+            except ValueError as exc:
+                skipped.append(f"{where}: {exc}")
+                continue
             scores = predict_proba(model, eval_ds, test)
             results.append(FoldResult(
                 auroc=auroc(scores, test_y),

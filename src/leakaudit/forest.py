@@ -31,6 +31,10 @@ class ForestConfig:
             raise ValueError("n_trees must be at least 1")
         if self.min_leaf < 1:
             raise ValueError("min_leaf must be at least 1")
+        if self.max_depth is not None and self.max_depth < 1:
+            raise ValueError("max_depth must be at least 1 (or None to grow to purity)")
+        if self.mtry is not None and self.mtry < 1:
+            raise ValueError("mtry must be at least 1 (or None for floor(sqrt(p)))")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from leakaudit.cli import main
 from leakaudit.tabular import read_dataset
@@ -109,6 +110,23 @@ def test_config_file_overrides_and_cli_wins(tmp_path):
     assert payload["config"]["folds"] == 3          # from file
     assert payload["config"]["adasyn"]["beta"] == 0.5
     assert payload["config"]["forest"]["n_trees"] == 9  # flag beats file
+
+
+@pytest.mark.parametrize("command, line, error", [
+    ("etl", "features.lab = glucose", "unknown config key 'features.lab'"),
+    ("run", "forest.tres = 5", "unknown config key 'forest.tres'"),
+    ("etl", "schema.admissions = ADM.csv", "unknown config key 'schema.admissions'"),
+    ("run", "forest.bootstrap = maybe", "bad value for config key 'forest.bootstrap'"),
+])
+def test_config_error_names_file_line_and_key(command, line, error, tmp_path, capsys,
+                                              mimic_demo_dir, mimic_demo_cfg):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(mimic_demo_cfg.read_text() + line + "\n")  # line 9
+    inputs = {"etl": ["--data-dir", str(mimic_demo_dir)],
+              "run": ["--data", str(tmp_path / "dataset.csv")]}[command]
+    rc = main([command, *inputs, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert f"{cfg}:9: {error}" in capsys.readouterr().err
 
 
 def test_report_rerender_roundtrip(tmp_path):

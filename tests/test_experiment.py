@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -101,6 +102,19 @@ def test_undefined_folds_skipped_and_logged():
     assert len(setup.folds) == 3
     assert sum("single-class test fold" in s for s in setup.skipped) == 2
     assert any("minority" in s for s in setup.skipped)  # plan warning recorded
+
+
+@pytest.mark.parametrize("setup", [SETUP_BEFORE, SETUP_LEAKY_HOLDOUT])
+def test_leaky_preparation_failure_skips_the_repeat(setup):
+    # num_09 is never observed, so imputing every row fails before any split
+    ds = generate_cohort(SynthConfig(n_total=40, n_minority=6, seed=1))
+    x = ds.x.copy()
+    x[:, [c.name for c in ds.columns].index("num_09")] = np.nan
+    rep = run_experiment(replace(ds, x=x), small_cfg(setup, folds=2, repeats=2))
+    [result] = rep.setups
+    assert result.folds == () and result.mean_auroc is None
+    assert result.skipped == tuple(
+        f"repeat {r}: column 'num_09' is fully missing within the fit rows" for r in range(2))
 
 
 def test_mixed_provenance_input_rejected(cohort):

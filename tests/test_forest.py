@@ -12,6 +12,13 @@ def _forest(**kw):
     return ForestConfig(**{"n_trees": 20, "seed": 0, **kw})
 
 
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("field", ["n_trees", "min_leaf", "max_depth", "mtry"])
+def test_config_rejects_settings_below_one(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be at least 1"):
+        ForestConfig(**{field: value})
+
+
 def test_perfectly_separable_in_sample():
     y = np.array([0, 0, 0, 0, 1, 1, 1, 1])
     ds = make_dataset(y.astype(float), y)

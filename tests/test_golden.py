@@ -39,6 +39,9 @@ RUNS = {
     # no oversampling leaves the lone positive on the training side
     "one_positive_holdout": ("one_positive", ["--setup", "holdout", "--beta", "0",
                                               "--trees", "3"]),
+    # every run.*, adasyn.* and forest.* key read from a config file
+    "run_all_keys": ("default", ["--setup", "all",
+                                 "--config", str(FIXTURES / "run_all_keys.cfg")]),
 }
 
 

@@ -110,9 +110,9 @@ def _cmd_etl(args) -> int:
 
 def _run_config(values: dict, setup: str) -> RunConfig:
     return RunConfig(setup=setup,
-                     adasyn=AdasynConfig(**cfgmod.section(values, "adasyn")),
-                     forest=ForestConfig(**cfgmod.section(values, "forest")),
-                     **cfgmod.section(values, "run"))
+                     adasyn=AdasynConfig(**cfgmod.section(values, AdasynConfig)),
+                     forest=ForestConfig(**cfgmod.section(values, ForestConfig)),
+                     **cfgmod.section(values, RunConfig))
 
 
 def _cmd_run(args) -> int:
@@ -130,12 +130,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    with open(args.report_json) as fh:
-        payload = json.load(fh)
-    for key in ("config", "dataset_fingerprint", "setups"):
-        if key not in payload:
-            raise ValueError(f"{args.report_json}: missing {key!r}")
-    paths = render_payload(payload, args.out)
+    try:
+        with open(args.report_json) as fh:
+            payload = json.load(fh)
+        paths = render_payload(payload, args.out)
+    except ValueError as exc:  # malformed JSON or payload; json.JSONDecodeError is one
+        raise ValueError(f"{args.report_json}: {exc}") from None
     print(f"wrote {paths['json']} and {paths['markdown']}")
     return 0
 

@@ -378,5 +378,4 @@ def build_dataset(cohort: CohortTable, tables: RawTables, cfg: CohortConfig) -> 
         x[i] = feats
         y[i] = label_los(row.los, cfg.los_threshold_days)
     provenance = np.full(n, ORIGINAL, dtype=object)
-    return Dataset(columns=tuple(columns), x=x, y=y, provenance=provenance,
-                   meta={"source": "cohort_etl", "cohort_size": str(n)})
+    return Dataset(columns=tuple(columns), x=x, y=y, provenance=provenance)

@@ -2,18 +2,21 @@
 
 Format: one ``key = value`` pair per line, ``#`` starts a comment, blank
 lines ignored, list values comma-separated.  The accepted keys are the
-entries of :data:`KEYS` plus ``schema.<table>.<field>`` (checked against
-``cohort_etl.DEFAULT_SCHEMA`` by ``load_tables``).  Any other key, or a
-value its parser refuses, is rejected with the file, line and key.  CLI
-flags set the same keys and override file values; a key set by neither
-keeps the default of the dataclass field it maps to.
+entries of :data:`KEYS` plus ``schema.<table>.<field>`` for a table and
+field of ``cohort_etl.DEFAULT_SCHEMA``.  Any other key, or a value that its
+parser or its config dataclass refuses, is rejected with the file, line
+and key.  CLI flags set the same keys and override file values; a key set
+by neither keeps the default of the dataclass field it maps to.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from .cohort_etl import CohortConfig
+from .cohort_etl import DEFAULT_SCHEMA, CohortConfig
+from .experiment import RunConfig
+from .forest import ForestConfig
+from .resampling import AdasynConfig
 
 
 def _split_list(value: str) -> tuple[str, ...]:
@@ -32,34 +35,38 @@ def _bool(value: str) -> bool:
     raise ValueError(f"expected a boolean, got {value!r}")
 
 
-# dotted key -> (section, field of the section's config dataclass, parser);
-# the sections are RunConfig, AdasynConfig, ForestConfig and CohortConfig
+# dotted key -> (config dataclass of its section, field it sets, parser)
 KEYS = {
-    "run.folds": ("run", "folds", int),
-    "run.seed": ("run", "master_seed", int),
-    "run.repeats": ("run", "repeats", int),
-    "run.holdout_test_fraction": ("run", "holdout_test_fraction", float),
-    "adasyn.k_neighbors": ("adasyn", "k_neighbors", int),
-    "adasyn.beta": ("adasyn", "beta", float),
-    "forest.trees": ("forest", "n_trees", int),
-    "forest.max_depth": ("forest", "max_depth", int),
-    "forest.min_leaf": ("forest", "min_leaf", int),
-    "forest.mtry": ("forest", "mtry", int),
-    "forest.bootstrap": ("forest", "bootstrap", _bool),
-    "cohort.diagnosis_keyword": ("cohort", "diagnosis_keyword", str),
-    "cohort.icd9_prefixes": ("cohort", "icd9_prefixes", _split_list),
-    "cohort.los_threshold_days": ("cohort", "los_threshold_days", float),
-    "cohort.age_cutoff_years": ("cohort", "age_cutoff_years", float),
-    "features.medications": ("cohort", "medication_keys", _split_list),
-    "features.labs": ("cohort", "lab_keys", _split_list),
+    "run.folds": (RunConfig, "folds", int),
+    "run.seed": (RunConfig, "master_seed", int),
+    "run.repeats": (RunConfig, "repeats", int),
+    "run.holdout_test_fraction": (RunConfig, "holdout_test_fraction", float),
+    "adasyn.k_neighbors": (AdasynConfig, "k_neighbors", int),
+    "adasyn.beta": (AdasynConfig, "beta", float),
+    "forest.trees": (ForestConfig, "n_trees", int),
+    "forest.max_depth": (ForestConfig, "max_depth", int),
+    "forest.min_leaf": (ForestConfig, "min_leaf", int),
+    "forest.mtry": (ForestConfig, "mtry", int),
+    "forest.bootstrap": (ForestConfig, "bootstrap", _bool),
+    "cohort.diagnosis_keyword": (CohortConfig, "diagnosis_keyword", str),
+    "cohort.icd9_prefixes": (CohortConfig, "icd9_prefixes", _split_list),
+    "cohort.los_threshold_days": (CohortConfig, "los_threshold_days", float),
+    "cohort.age_cutoff_years": (CohortConfig, "age_cutoff_years", float),
+    "features.medications": (CohortConfig, "medication_keys", _split_list),
+    "features.labs": (CohortConfig, "lab_keys", _split_list),
 }
+
+# schema.<table>.<field> for every table and field (``file`` included) of DEFAULT_SCHEMA
+_SCHEMA_KEYS = {f"schema.{table}.{field}"
+                for table, fields in DEFAULT_SCHEMA.items() for field in fields}
 
 
 def parse_config(path) -> dict:
     """Parse a config file into {dotted key: parsed value}.
 
-    ``schema.*`` values stay strings.  Unknown keys and unparseable values
-    raise ``ValueError`` naming the file, line and key.
+    ``schema.*`` values stay strings.  Unknown keys, unparseable values and
+    values their section's dataclass rejects raise ``ValueError`` naming
+    the file, line and key.
     """
     path = Path(path)
     if not path.exists():
@@ -72,12 +79,13 @@ def parse_config(path) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        parts = key.split(".")
-        if len(parts) == 3 and parts[0] == "schema":
+        if key in _SCHEMA_KEYS:
             values[key] = value
         elif key in KEYS:
+            cls, field, parse = KEYS[key]
             try:
-                values[key] = KEYS[key][2](value)
+                values[key] = parse(value)
+                cls(**{field: values[key]})  # the dataclass checks the value's range
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad value for config key {key!r}: "
                                  f"{exc}") from None
@@ -86,10 +94,10 @@ def parse_config(path) -> dict:
     return values
 
 
-def section(values: dict, name: str) -> dict:
-    """The keys of one section that ``values`` sets, as {field: value}."""
+def section(values: dict, cls) -> dict:
+    """The fields of config dataclass ``cls`` that ``values`` sets, as {field: value}."""
     return {KEYS[key][1]: value for key, value in values.items()
-            if key in KEYS and KEYS[key][0] == name}
+            if key in KEYS and KEYS[key][0] is cls}
 
 
 def schema_from_config(values: dict) -> dict:
@@ -104,4 +112,4 @@ def schema_from_config(values: dict) -> dict:
 
 def cohort_config_from_config(values: dict) -> CohortConfig:
     """Build extraction settings from ``cohort.*`` and ``features.*`` keys."""
-    return CohortConfig(**section(values, "cohort"))
+    return CohortConfig(**section(values, CohortConfig))

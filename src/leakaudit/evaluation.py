@@ -22,9 +22,7 @@ class UndefinedAUROCError(ValueError):
 
 @dataclass(frozen=True)
 class FoldPlan:
-    k: int
     folds: tuple[tuple[int, ...], ...]
-    seed: int
     warnings: tuple[str, ...] = ()
 
 
@@ -75,8 +73,7 @@ def stratified_kfold(labels, k: int, seed: int) -> FoldPlan:
         rng.shuffle(idx)
         for pos, row in enumerate(idx):
             folds[pos % k].append(int(row))
-    return FoldPlan(k=k, folds=tuple(tuple(sorted(f)) for f in folds),
-                    seed=seed, warnings=tuple(warnings))
+    return FoldPlan(folds=tuple(tuple(sorted(f)) for f in folds), warnings=tuple(warnings))
 
 
 def _average_ranks(v: np.ndarray) -> np.ndarray:

@@ -77,14 +77,20 @@ class RunConfig:
             raise ValueError("repeats must be at least 1")
 
     def echo(self) -> dict:
-        # the nested seeds are not settings: run_experiment derives them per split
+        """The settings as the report's ``config``.
+
+        ``setup`` names the report's setup entries instead, and the nested
+        seeds are not settings: run_experiment derives them per split.
+        """
         echo = asdict(self)
-        del echo["adasyn"]["seed"], echo["forest"]["seed"]
+        del echo["setup"], echo["adasyn"]["seed"], echo["forest"]["seed"]
         return echo
 
 
 @dataclass(frozen=True)
 class SetupReport:
+    """One setup's results; report.json holds it as ``dataclasses.asdict`` writes it."""
+
     name: str
     folds: tuple[FoldResult, ...]
     mean_auroc: float | None
@@ -96,7 +102,7 @@ class SetupReport:
 class ExperimentReport:
     config: dict
     dataset_fingerprint: dict
-    setups: tuple[SetupReport, ...]
+    setup: SetupReport
 
 
 def _check_input(ds: Dataset) -> None:
@@ -105,16 +111,6 @@ def _check_input(ds: Dataset) -> None:
     counts = ds.class_counts()
     if counts[0] == 0 or counts[1] == 0:
         raise ValueError("both classes must be present")
-
-
-def _summarize_setup(name, results, skipped) -> SetupReport:
-    if results:
-        stats = summarize([r.auroc for r in results])
-        mean, std = stats["mean"], stats["std"]
-    else:
-        mean = std = None
-    return SetupReport(name=name, folds=tuple(results), mean_auroc=mean,
-                       std_auroc=std, skipped=tuple(skipped))
 
 
 def _holdout_test_rows(labels, test_fraction: float, seed: int) -> np.ndarray:
@@ -196,10 +192,12 @@ def run_experiment(ds: Dataset, cfg: RunConfig) -> ExperimentReport:
                 repeat=r,
             ))
 
+    stats = summarize([r.auroc for r in results]) if results else {"mean": None, "std": None}
     return ExperimentReport(
         config=cfg.echo(),
         dataset_fingerprint=ds.fingerprint(),
-        setups=(_summarize_setup(cfg.setup, results, skipped),),
+        setup=SetupReport(name=cfg.setup, folds=tuple(results), mean_auroc=stats["mean"],
+                          std_auroc=stats["std"], skipped=tuple(skipped)),
     )
 
 
@@ -207,48 +205,17 @@ def run_experiment(ds: Dataset, cfg: RunConfig) -> ExperimentReport:
 # report rendering
 # ---------------------------------------------------------------------------
 
-def _contamination_to_dict(c) -> dict:
-    return {
-        "synthetic_rows_in_eval": c.synthetic_rows_in_eval,
-        "eval_class_counts": {str(k): v for k, v in c.eval_class_counts.items()},
-        "original_class_counts": {str(k): v for k, v in c.original_class_counts.items()},
-        "flagged": c.flagged,
-    }
-
-
-def _setup_to_dict(s: SetupReport) -> dict:
-    return {
-        "name": s.name,
-        "folds": [
-            {
-                "repeat": fr.repeat,
-                "fold": fr.fold,
-                "auroc": fr.auroc,
-                "confusion": fr.confusion,
-                "contamination": _contamination_to_dict(fr.contamination),
-            }
-            for fr in s.folds
-        ],
-        "mean_auroc": s.mean_auroc,
-        "std_auroc": s.std_auroc,
-        "skipped": list(s.skipped),
-    }
-
-
 def report_to_dict(reports) -> dict:
     """Merge one report per setup into the documented JSON layout."""
     reports = list(reports)
     if not reports:
         raise ValueError("at least one report is required")
-    config = dict(reports[0].config)
-    config.pop("setup", None)
     order = {name: i for i, name in enumerate(ALL_SETUPS)}
-    setups = [s for rep in reports for s in rep.setups]
-    setups.sort(key=lambda s: order.get(s.name, len(order)))
+    reports.sort(key=lambda rep: order.get(rep.setup.name, len(order)))
     return {
-        "config": config,
+        "config": dict(reports[0].config),
         "dataset_fingerprint": dict(reports[0].dataset_fingerprint),
-        "setups": [_setup_to_dict(s) for s in setups],
+        "setups": [asdict(rep.setup) for rep in reports],
     }
 
 
@@ -258,10 +225,34 @@ def _format_pct(mean, std) -> str:
     return f"{100 * mean:.2f} ± {100 * std:.2f}"
 
 
-def render_payload(payload: dict, out_dir) -> dict:
-    """Write an already-assembled report dict as report.json + report.md."""
-    if not payload.get("setups"):
+def _check_payload(payload) -> None:
+    """Raise ``ValueError`` unless ``payload`` has every key rendering reads."""
+    if not isinstance(payload, dict):
+        raise ValueError("report payload is not an object")
+    for key in ("config", "dataset_fingerprint", "setups"):
+        if key not in payload:
+            raise ValueError(f"report payload has no {key!r}")
+    if not isinstance(payload["setups"], list) or not payload["setups"]:
         raise ValueError("report payload has no setups")
+    for i, s in enumerate(payload["setups"]):
+        if not isinstance(s, dict):
+            raise ValueError(f"setup entry {i} is not an object")
+        for key in ("name", "mean_auroc", "std_auroc"):
+            if key not in s:
+                raise ValueError(f"setup entry {i} has no {key!r}")
+        if not isinstance(s["name"], str):
+            raise ValueError(f"setup entry {i} has a name that is not a string")
+        if s["mean_auroc"] is not None and not all(
+                isinstance(s[key], (int, float)) for key in ("mean_auroc", "std_auroc")):
+            raise ValueError(f"setup entry {i} has an AUROC that is not a number")
+
+
+def render_payload(payload: dict, out_dir) -> dict:
+    """Write an already-assembled report dict as report.json + report.md.
+
+    The payload is checked before anything is written.
+    """
+    _check_payload(payload)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -120,8 +120,7 @@ def adasyn(ds: Dataset, rows, cfg: AdasynConfig) -> Dataset:
 
     prov = ds.provenance[rows]
     if g_total == 0:
-        return Dataset(columns=ds.columns, x=x.copy(), y=y.copy(),
-                       provenance=prov.copy(), meta=dict(ds.meta))
+        return Dataset(columns=ds.columns, x=x.copy(), y=y.copy(), provenance=prov.copy())
 
     minority_idx = np.flatnonzero(y == minority_label)
     majority_mask = y != minority_label
@@ -148,5 +147,4 @@ def adasyn(ds: Dataset, rows, cfg: AdasynConfig) -> Dataset:
     new_x = np.vstack([x, np.array(samples)])
     new_y = np.concatenate([y, np.full(g_total, minority_label, dtype=y.dtype)])
     new_prov = np.concatenate([prov, np.full(g_total, SYNTHETIC, dtype=object)])
-    return Dataset(columns=ds.columns, x=new_x, y=new_y, provenance=new_prov,
-                   meta=dict(ds.meta))
+    return Dataset(columns=ds.columns, x=new_x, y=new_y, provenance=new_prov)

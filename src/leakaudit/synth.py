@@ -76,5 +76,4 @@ def generate_cohort(cfg: SynthConfig) -> Dataset:
     )
     x = np.hstack([x_bin, x_num]) if n_bin and n_num else (x_bin if n_bin else x_num)
     provenance = np.full(n, ORIGINAL, dtype=object)
-    return Dataset(columns=columns, x=x, y=y, provenance=provenance,
-                   meta={"source": "synth", "seed": str(cfg.seed)})
+    return Dataset(columns=columns, x=x, y=y, provenance=provenance)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +46,6 @@ class Dataset:
     x: np.ndarray  # (n, p) float64, NaN marks a missing cell
     y: np.ndarray  # (n,) int
     provenance: np.ndarray  # (n,) str, ORIGINAL or SYNTHETIC
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=np.float64)
@@ -156,7 +155,7 @@ def apply_imputer(ds: Dataset, model: ImputerModel) -> Dataset:
     if nan_mask.any():
         x[nan_mask] = np.broadcast_to(model.fill, x.shape)[nan_mask]
     return Dataset(columns=ds.columns, x=x, y=ds.y.copy(),
-                   provenance=ds.provenance.copy(), meta=dict(ds.meta))
+                   provenance=ds.provenance.copy())
 
 
 # ---------------------------------------------------------------------------

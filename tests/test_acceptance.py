@@ -37,9 +37,9 @@ def test_criterion_1_leakage_gap():
     gaps = []
     for seed in range(1, 6):
         before = run_experiment(ds, RunConfig(setup=SETUP_BEFORE, folds=10,
-                                              master_seed=seed)).setups[0]
+                                              master_seed=seed)).setup
         after = run_experiment(ds, RunConfig(setup=SETUP_AFTER, folds=10,
-                                             master_seed=seed)).setups[0]
+                                             master_seed=seed)).setup
         gaps.append((before.mean_auroc, before.std_auroc, after.mean_auroc))
         if (before.mean_auroc >= 0.95 and before.std_auroc <= 0.05
                 and before.mean_auroc - after.mean_auroc >= 0.05):
@@ -147,7 +147,7 @@ def test_criterion_6_contamination_detection():
         ds = generate_cohort(SynthConfig(**{**cfg.__dict__, "seed": seed}))
         run = lambda setup: run_experiment(
             ds, RunConfig(setup=setup, folds=5, forest=forest,
-                          master_seed=seed)).setups[0]
+                          master_seed=seed)).setup
         leaky = run(SETUP_BEFORE)
         assert any(f.contamination.flagged for f in leaky.folds), f"seed {seed}"
         holdout = run(SETUP_LEAKY_HOLDOUT)

@@ -117,6 +117,12 @@ def test_config_file_overrides_and_cli_wins(tmp_path):
     ("run", "forest.tres = 5", "unknown config key 'forest.tres'"),
     ("etl", "schema.admissions = ADM.csv", "unknown config key 'schema.admissions'"),
     ("run", "forest.bootstrap = maybe", "bad value for config key 'forest.bootstrap'"),
+    ("run", "forest.trees = 0",
+     "bad value for config key 'forest.trees': n_trees must be at least 1"),
+    ("run", "run.folds = 1", "bad value for config key 'run.folds': folds must be at least 2"),
+    ("etl", "cohort.icd9_prefixes = ,", "bad value for config key 'cohort.icd9_prefixes'"),
+    ("etl", "schema.chartevents.itemkey = LABEL",
+     "unknown config key 'schema.chartevents.itemkey'"),
 ])
 def test_config_error_names_file_line_and_key(command, line, error, tmp_path, capsys,
                                               mimic_demo_dir, mimic_demo_cfg):
@@ -142,6 +148,27 @@ def test_report_rerender_roundtrip(tmp_path):
         (tmp_path / "r2" / "report.json").read_bytes()
     assert (tmp_path / "r1" / "report.md").read_bytes() == \
         (tmp_path / "r2" / "report.md").read_bytes()
+
+
+@pytest.mark.parametrize("text", [
+    "not json",
+    "5",
+    '{"config": {}, "dataset_fingerprint": {}, "setups": [5]}',
+    '{"config": {}, "dataset_fingerprint": {}, "setups": [{"name": "x", "std_auroc": 0}]}',
+    '{"config": {}, "dataset_fingerprint": {}, "setups": []}',
+    '{"config": {}, "dataset_fingerprint": {}, "setups": [{"name": ["x"], "mean_auroc": null, '
+    '"std_auroc": null}]}',
+    '{"config": {}, "dataset_fingerprint": {}, "setups": [{"name": "x", "mean_auroc": 0.5, '
+    '"std_auroc": null}]}',
+])
+def test_report_rejects_malformed_payload(text, tmp_path, capsys):
+    src = tmp_path / "in.json"
+    src.write_text(text)
+    rc = main(["report", str(src), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"error: {src}: " in err and "Traceback" not in err
+    assert not (tmp_path / "o" / "report.json").exists()
 
 
 def test_dataset_csv_roundtrips_through_cli(tmp_path):

@@ -30,33 +30,33 @@ def cohort():
 
 def test_before_partitioning_flags_and_inflates(cohort):
     rep = run_experiment(cohort, small_cfg(SETUP_BEFORE, seed=1))
-    setup = rep.setups[0]
+    setup = rep.setup
     assert all(f.contamination.flagged for f in setup.folds)
     assert setup.mean_auroc > 0.9
 
 
 def test_after_partitioning_never_flags(cohort):
     rep = run_experiment(cohort, small_cfg(SETUP_AFTER, seed=1))
-    setup = rep.setups[0]
+    setup = rep.setup
     assert setup.folds and not any(f.contamination.flagged for f in setup.folds)
 
 
 def test_no_oversampling_has_no_synthetic_rows(cohort):
     rep = run_experiment(cohort, small_cfg(SETUP_NO_OVERSAMPLING, seed=1))
-    setup = rep.setups[0]
+    setup = rep.setup
     for f in setup.folds:
         assert f.contamination.synthetic_rows_in_eval == 0
         assert not f.contamination.flagged
 
 
 def test_leakage_gap_on_shared_seeds(cohort):
-    before = run_experiment(cohort, small_cfg(SETUP_BEFORE, seed=2)).setups[0]
-    after = run_experiment(cohort, small_cfg(SETUP_AFTER, seed=2)).setups[0]
+    before = run_experiment(cohort, small_cfg(SETUP_BEFORE, seed=2)).setup
+    after = run_experiment(cohort, small_cfg(SETUP_AFTER, seed=2)).setup
     assert before.mean_auroc > after.mean_auroc
 
 
 def test_mean_std_consistent_with_fold_list(cohort):
-    setup = run_experiment(cohort, small_cfg(SETUP_AFTER, seed=3)).setups[0]
+    setup = run_experiment(cohort, small_cfg(SETUP_AFTER, seed=3)).setup
     stats = summarize([f.auroc for f in setup.folds])
     assert setup.mean_auroc == pytest.approx(stats["mean"])
     assert setup.std_auroc == pytest.approx(stats["std"])
@@ -70,7 +70,7 @@ def test_identical_config_identical_report(cohort):
 
 def test_repeats_pool_folds(cohort):
     rep = run_experiment(cohort, small_cfg(SETUP_AFTER, seed=6, repeats=2))
-    setup = rep.setups[0]
+    setup = rep.setup
     assert len(setup.folds) == 10  # 2 repeats x 5 folds
     assert {f.repeat for f in setup.folds} == {0, 1}
     # repeats use different fold plans, so the pooled folds differ
@@ -90,7 +90,7 @@ def test_signal_free_data_scores_near_chance():
         rep = run_experiment(ds, RunConfig(setup=SETUP_AFTER, folds=4,
                                            forest=ForestConfig(n_trees=10),
                                            master_seed=seed))
-        aurocs.append(rep.setups[0].mean_auroc)
+        aurocs.append(rep.setup.mean_auroc)
     assert abs(float(np.mean(aurocs)) - 0.5) < 0.15
 
 
@@ -98,7 +98,7 @@ def test_undefined_folds_skipped_and_logged():
     # 3 positives, k=5: two folds have no positive and must be skipped
     ds = generate_cohort(SynthConfig(n_total=40, n_minority=3, seed=9))
     rep = run_experiment(ds, small_cfg(SETUP_NO_OVERSAMPLING, seed=7, folds=5))
-    setup = rep.setups[0]
+    setup = rep.setup
     assert len(setup.folds) == 3
     assert sum("single-class test fold" in s for s in setup.skipped) == 2
     assert any("minority" in s for s in setup.skipped)  # plan warning recorded
@@ -111,7 +111,7 @@ def test_leaky_preparation_failure_skips_the_repeat(setup):
     x = ds.x.copy()
     x[:, [c.name for c in ds.columns].index("num_09")] = np.nan
     rep = run_experiment(replace(ds, x=x), small_cfg(setup, folds=2, repeats=2))
-    [result] = rep.setups
+    result = rep.setup
     assert result.folds == () and result.mean_auroc is None
     assert result.skipped == tuple(
         f"repeat {r}: column 'num_09' is fully missing within the fit rows" for r in range(2))
@@ -139,7 +139,7 @@ def test_single_class_input_rejected():
 
 def test_holdout_contamination_flagged(cohort):
     rep = run_experiment(cohort, small_cfg(SETUP_LEAKY_HOLDOUT, seed=11))
-    fold = rep.setups[0].folds[0]
+    fold = rep.setup.folds[0]
     assert fold.contamination.flagged
     assert fold.contamination.eval_class_counts[1] > 8  # more positives than exist
     assert sum(fold.confusion.values()) == fold.contamination.eval_class_counts[0] + \
@@ -150,7 +150,7 @@ def test_holdout_on_balanced_input_is_plain_split():
     rng = np.random.default_rng(13)
     ds = make_dataset(rng.standard_normal((40, 3)), np.array([0, 1] * 20))
     rep = run_experiment(ds, small_cfg(SETUP_LEAKY_HOLDOUT, seed=12))
-    fold = rep.setups[0].folds[0]
+    fold = rep.setup.folds[0]
     assert not fold.contamination.flagged
     assert fold.contamination.synthetic_rows_in_eval == 0
     assert fold.contamination.eval_class_counts == {0: 6, 1: 6}  # round(0.3*20) each
@@ -164,7 +164,7 @@ def test_holdout_deterministic(cohort):
 
 def test_run_experiment_dispatches(cohort):
     rep = run_experiment(cohort, small_cfg(SETUP_LEAKY_HOLDOUT, seed=1))
-    assert rep.setups[0].name == SETUP_LEAKY_HOLDOUT
+    assert rep.setup.name == SETUP_LEAKY_HOLDOUT
 
 
 # --- rendering ---------------------------------------------------------

@@ -12,9 +12,8 @@ from .experiment import (ExperimentReport, RunConfig, SETUP_AFTER, SETUP_BEFORE,
 from .forest import ForestConfig, ForestModel, majority_baseline, predict_proba, train_forest
 from .resampling import AdasynConfig, adasyn, allocate_counts
 from .synth import SynthConfig, generate_cohort
-from .tabular import (BINARY, Column, Dataset, ImputerModel, NUMERIC, ORIGINAL,
-                      SYNTHETIC, apply_imputer, fit_imputer, read_dataset,
-                      write_dataset)
+from .tabular import (BINARY, Column, Dataset, ImputerModel, NUMERIC, apply_imputer,
+                      fit_imputer, read_dataset, write_dataset)
 
 __version__ = "0.1.0"
 
@@ -22,8 +21,8 @@ __all__ = [
     "AdasynConfig", "BINARY", "CohortConfig", "CohortTable", "Column",
     "ContaminationReport", "Dataset", "ExperimentReport", "FoldPlan",
     "FoldResult", "ForestConfig", "ForestModel", "ImputerModel", "NUMERIC",
-    "ORIGINAL", "RawTables", "RunConfig", "SETUP_AFTER", "SETUP_BEFORE",
-    "SETUP_LEAKY_HOLDOUT", "SETUP_NO_OVERSAMPLING", "SYNTHETIC", "SynthConfig",
+    "RawTables", "RunConfig", "SETUP_AFTER", "SETUP_BEFORE",
+    "SETUP_LEAKY_HOLDOUT", "SETUP_NO_OVERSAMPLING", "SynthConfig",
     "UndefinedAUROCError", "adasyn", "allocate_counts", "apply_imputer",
     "auroc", "build_dataset", "confusion_matrix", "contamination_check",
     "extract_cohort", "fit_imputer", "generate_cohort", "label_los",

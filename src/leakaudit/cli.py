@@ -25,6 +25,16 @@ from .forest import ForestConfig
 from .resampling import AdasynConfig
 from .tabular import read_dataset, write_dataset
 
+# run flag -> (config key it sets, help text)
+_RUN_FLAGS = {
+    "--folds": ("run.folds", None),
+    "--seed": ("run.seed", "master seed"),
+    "--repeats": ("run.repeats", None),
+    "--beta": ("adasyn.beta", "oversampling balance level"),
+    "--k-neighbors": ("adasyn.k_neighbors", None),
+    "--trees": ("forest.trees", None),
+}
+
 _SETUP_ALIASES = {
     "i": SETUP_AFTER,
     "ii": SETUP_NO_OVERSAMPLING,
@@ -64,14 +74,10 @@ def _build_parser() -> argparse.ArgumentParser:
                            argument_default=argparse.SUPPRESS)
     p_run.add_argument("--data", type=Path, required=True, help="dataset CSV")
     p_run.add_argument("--setup", choices=["i", "ii", "iii", "holdout", "all"], default="all")
-    # each setting flag sets a config key, and like a file line only when given
-    p_run.add_argument("--folds", type=int, dest="run.folds")
-    p_run.add_argument("--seed", type=int, dest="run.seed", help="master seed")
-    p_run.add_argument("--repeats", type=int, dest="run.repeats")
-    p_run.add_argument("--beta", type=float, dest="adasyn.beta",
-                       help="oversampling balance level")
-    p_run.add_argument("--k-neighbors", type=int, dest="adasyn.k_neighbors")
-    p_run.add_argument("--trees", type=int, dest="forest.trees")
+    # each setting flag sets a config key, and like a file line only when given;
+    # _cmd_run parses and checks its value as parse_config does a file's
+    for flag, (key, text) in _RUN_FLAGS.items():
+        p_run.add_argument(flag, dest=key, help=text)
     p_run.add_argument("--config", type=Path, default=None, help="key-value config file")
     p_run.add_argument("--out", type=Path, required=True, help="output directory")
 
@@ -118,7 +124,9 @@ def _run_config(values: dict, setup: str) -> RunConfig:
 def _cmd_run(args) -> int:
     # precedence: dataclass defaults < config file < CLI flags
     values = cfgmod.parse_config(args.config) if args.config else {}
-    values.update((k, v) for k, v in vars(args).items() if k in cfgmod.KEYS)
+    given = vars(args)
+    values.update((key, cfgmod.parse_value(key, given[key], flag))
+                  for flag, (key, _) in _RUN_FLAGS.items() if key in given)
     ds = read_dataset(args.data)
     setups = ALL_SETUPS if args.setup == "all" else (_SETUP_ALIASES[args.setup],)
     reports = [run_experiment(ds, _run_config(values, setup)) for setup in setups]

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tabular import BINARY, NUMERIC, ORIGINAL, Column, Dataset
+from .tabular import BINARY, NUMERIC, Column, Dataset
 
 # Canonical MIMIC-III file and column names.  Every entry can be overridden
 # through the run-config schema map (e.g. ``schema.admissions.expire_flag``).
@@ -377,5 +377,4 @@ def build_dataset(cohort: CohortTable, tables: RawTables, cfg: CohortConfig) -> 
             feats.append(float(np.mean(values)) if values else np.nan)
         x[i] = feats
         y[i] = label_los(row.los, cfg.los_threshold_days)
-    provenance = np.full(n, ORIGINAL, dtype=object)
-    return Dataset(columns=tuple(columns), x=x, y=y, provenance=provenance)
+    return Dataset(columns=tuple(columns), x=x, y=y)

@@ -61,6 +61,21 @@ _SCHEMA_KEYS = {f"schema.{table}.{field}"
                 for table, fields in DEFAULT_SCHEMA.items() for field in fields}
 
 
+def parse_value(key: str, value: str, where: str):
+    """``value`` parsed for ``key``, once its parser and config dataclass accept it.
+
+    A refused value raises ``ValueError`` that starts with ``where`` (a
+    file's ``path:line``, or a CLI flag) and names the key and the reason.
+    """
+    cls, field, parse = KEYS[key]
+    try:
+        parsed = parse(value)
+        cls(**{field: parsed})  # the dataclass checks the value's range
+    except ValueError as exc:
+        raise ValueError(f"{where}: bad value for config key {key!r}: {exc}") from None
+    return parsed
+
+
 def parse_config(path) -> dict:
     """Parse a config file into {dotted key: parsed value}.
 
@@ -82,13 +97,7 @@ def parse_config(path) -> dict:
         if key in _SCHEMA_KEYS:
             values[key] = value
         elif key in KEYS:
-            cls, field, parse = KEYS[key]
-            try:
-                values[key] = parse(value)
-                cls(**{field: values[key]})  # the dataclass checks the value's range
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad value for config key {key!r}: "
-                                 f"{exc}") from None
+            values[key] = parse_value(key, value, f"{path}:{lineno}")
         else:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
     return values

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tabular import SYNTHETIC
-
 
 class UndefinedAUROCError(ValueError):
     """Raised when AUROC is requested for single-class labels."""
@@ -121,11 +119,11 @@ def confusion_matrix(scores, labels, threshold: float = 0.5) -> dict:
     }
 
 
-def contamination_check(provenance, eval_labels, original_class_counts: dict) -> ContaminationReport:
-    """Flag an evaluation set that could not have come from the original data."""
-    prov = np.asarray(provenance)
+def contamination_check(synthetic_mask, eval_labels, original_class_counts: dict) -> ContaminationReport:
+    """Flag an evaluation set that could not have come from the original data;
+    ``synthetic_mask`` marks its synthetic rows (``Dataset.synthetic``)."""
     y = np.asarray(eval_labels)
-    synthetic = int((prov == SYNTHETIC).sum())
+    synthetic = int(np.count_nonzero(synthetic_mask))
     eval_counts = {0: int((y == 0).sum()), 1: int((y == 1).sum())}
     original = {0: int(original_class_counts.get(0, 0)),
                 1: int(original_class_counts.get(1, 0))}

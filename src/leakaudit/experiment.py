@@ -37,7 +37,7 @@ from .evaluation import (FoldResult, auroc, confusion_matrix, contamination_chec
 from .forest import ForestConfig, predict_proba, train_forest
 from .resampling import AdasynConfig, adasyn
 from .seeding import derive_seed
-from .tabular import Dataset, ORIGINAL, apply_imputer, fit_imputer
+from .tabular import Dataset, apply_imputer, fit_imputer
 
 SETUP_AFTER = "after_partitioning"
 SETUP_NO_OVERSAMPLING = "no_oversampling"
@@ -106,7 +106,7 @@ class ExperimentReport:
 
 
 def _check_input(ds: Dataset) -> None:
-    if not (ds.provenance == ORIGINAL).all():
+    if ds.synthetic.any():
         raise ValueError("experiments start from an all-original dataset")
     counts = ds.class_counts()
     if counts[0] == 0 or counts[1] == 0:
@@ -186,7 +186,7 @@ def run_experiment(ds: Dataset, cfg: RunConfig) -> ExperimentReport:
             results.append(FoldResult(
                 auroc=auroc(scores, test_y),
                 confusion=confusion_matrix(scores, test_y),
-                contamination=contamination_check(eval_ds.provenance[test], test_y,
+                contamination=contamination_check(eval_ds.synthetic[test], test_y,
                                                   original_counts),
                 fold=f,
                 repeat=r,

@@ -5,8 +5,8 @@ by the fraction of majority points among its K nearest neighbors, the
 total synthetic budget G = round(beta * (majority - minority)) is split
 across seeds by largest remainder so the counts are exact, and each
 synthetic sample is a uniform interpolation between a seed and one of its
-K nearest minority neighbors.  Generated rows are tagged SYNTHETIC so
-downstream contamination checks can find them.
+K nearest minority neighbors.  Generated rows record their two parents, so
+downstream contamination checks can find them and trace them back.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tabular import BINARY, Dataset, SYNTHETIC
+from .tabular import BINARY, Dataset
 
 
 @dataclass(frozen=True)
@@ -100,8 +100,9 @@ def adasyn(ds: Dataset, rows, cfg: AdasynConfig) -> Dataset:
     """Oversample the minority class among ``rows``.
 
     Returns a new dataset holding the selected rows unchanged (in order)
-    followed by G synthetic minority rows.  Requires both classes present
-    and no missing cells among the selected rows; impute first.
+    followed by G synthetic minority rows, whose ``parents`` are two of
+    ``rows``.  Requires both classes present and no missing cells among the
+    selected rows; impute first.
     """
     rows = np.asarray(rows, dtype=np.intp)
     x = ds.x[rows]
@@ -118,9 +119,9 @@ def adasyn(ds: Dataset, rows, cfg: AdasynConfig) -> Dataset:
     m_l = max(n_pos, n_neg)
     g_total = int(math.floor(cfg.beta * (m_l - m_s) + 0.5))
 
-    prov = ds.provenance[rows]
+    parents = ds.parents[rows]
     if g_total == 0:
-        return Dataset(columns=ds.columns, x=x.copy(), y=y.copy(), provenance=prov.copy())
+        return Dataset(columns=ds.columns, x=x.copy(), y=y.copy(), parents=parents)
 
     minority_idx = np.flatnonzero(y == minority_label)
     majority_mask = y != minority_label
@@ -142,9 +143,10 @@ def adasyn(ds: Dataset, rows, cfg: AdasynConfig) -> Dataset:
     g_counts = allocate_counts(weights, g_total)
 
     rng = np.random.default_rng(cfg.seed)
-    samples, _ = _synthesize(x, y, ds.columns, minority_label, k, g_counts, rng)
+    # _synthesize numbers parents within the subset; rows maps them back to ds
+    samples, pairs = _synthesize(x, y, ds.columns, minority_label, k, g_counts, rng)
 
     new_x = np.vstack([x, np.array(samples)])
     new_y = np.concatenate([y, np.full(g_total, minority_label, dtype=y.dtype)])
-    new_prov = np.concatenate([prov, np.full(g_total, SYNTHETIC, dtype=object)])
-    return Dataset(columns=ds.columns, x=new_x, y=new_y, provenance=new_prov)
+    new_parents = np.vstack([parents, rows[np.array(pairs)]])
+    return Dataset(columns=ds.columns, x=new_x, y=new_y, parents=new_parents)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tabular import BINARY, NUMERIC, ORIGINAL, Column, Dataset
+from .tabular import BINARY, NUMERIC, Column, Dataset
 
 
 @dataclass(frozen=True)
@@ -75,5 +75,4 @@ def generate_cohort(cfg: SynthConfig) -> Dataset:
         + [Column(f"num_{j:02d}", NUMERIC) for j in range(n_num)]
     )
     x = np.hstack([x_bin, x_num]) if n_bin and n_num else (x_bin if n_bin else x_num)
-    provenance = np.full(n, ORIGINAL, dtype=object)
-    return Dataset(columns=columns, x=x, y=y, provenance=provenance)
+    return Dataset(columns=columns, x=x, y=y)

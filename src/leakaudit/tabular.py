@@ -1,8 +1,9 @@
 """Core dataset container, train-fitted imputation, and dataset CSV I/O.
 
 A :class:`Dataset` is a dense float matrix with per-column kind (binary or
-numeric), a 0/1 label vector, and a per-row provenance tag distinguishing
-original rows from synthetically generated ones.  Missing cells are NaN.
+numeric), a 0/1 label vector, and each row's two parents: -1 for an original
+row, row numbers of the dataset it was made from for a synthetic one.  Missing
+cells are NaN.
 """
 
 from __future__ import annotations
@@ -17,9 +18,6 @@ import numpy as np
 
 BINARY = "binary"
 NUMERIC = "numeric"
-
-ORIGINAL = "original"
-SYNTHETIC = "synthetic"
 
 LABEL_COLUMN = "label"
 
@@ -36,24 +34,25 @@ class Column:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable feature matrix with labels and provenance.
+    """Immutable feature matrix with labels and parent lineage.
 
     Invariants are checked on construction: consistent shapes, labels in
-    {0,1}, binary columns containing only {0,1} or NaN.
+    {0,1}, binary columns containing only {0,1} or NaN, both parents or none.
     """
 
     columns: tuple[Column, ...]
     x: np.ndarray  # (n, p) float64, NaN marks a missing cell
     y: np.ndarray  # (n,) int
-    provenance: np.ndarray  # (n,) str, ORIGINAL or SYNTHETIC
+    parents: np.ndarray | None = None  # (n, 2) int, -1 = no parent; None = all -1
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=np.float64)
         y = np.asarray(self.y, dtype=np.int64)
-        prov = np.asarray(self.provenance)
+        parents = (np.full(x.shape[:1] + (2,), -1, dtype=np.int64) if self.parents is None
+                   else np.asarray(self.parents, dtype=np.int64))
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "provenance", prov)
+        object.__setattr__(self, "parents", parents)
         if x.ndim != 2:
             raise ValueError("x must be a 2-D matrix")
         n, p = x.shape
@@ -61,19 +60,23 @@ class Dataset:
             raise ValueError(f"{len(self.columns)} columns declared for {p}-wide matrix")
         if y.shape != (n,):
             raise ValueError("label vector length does not match row count")
-        if prov.shape != (n,):
-            raise ValueError("provenance vector length does not match row count")
+        if parents.shape != (n, 2):
+            raise ValueError(f"parents must be an ({n}, 2) array, got shape {parents.shape}")
+        if (parents < -1).any() or ((parents[:, 0] >= 0) != (parents[:, 1] >= 0)).any():
+            raise ValueError("each row needs both parents (row numbers >= 0) or neither (-1)")
         if n and not np.isin(y, (0, 1)).all():
             raise ValueError("labels must be 0 or 1")
-        bad_prov = set(prov.tolist()) - {ORIGINAL, SYNTHETIC}
-        if bad_prov:
-            raise ValueError(f"unknown provenance tags {sorted(bad_prov)}")
         for j, col in enumerate(self.columns):
             if col.kind == BINARY and n:
                 v = x[:, j]
                 ok = np.isnan(v) | (v == 0.0) | (v == 1.0)
                 if not ok.all():
                     raise ValueError(f"binary column {col.name!r} has values outside {{0,1}}")
+
+    @property
+    def synthetic(self) -> np.ndarray:
+        """Boolean mask of the rows that have parents."""
+        return self.parents[:, 0] >= 0
 
     @property
     def n_rows(self) -> int:
@@ -97,7 +100,7 @@ class Dataset:
             "columns": self.n_cols,
             "positives": counts[1],
             "negatives": counts[0],
-            "synthetic_rows": int((self.provenance == SYNTHETIC).sum()),
+            "synthetic_rows": int(self.synthetic.sum()),
         }
 
 
@@ -154,8 +157,7 @@ def apply_imputer(ds: Dataset, model: ImputerModel) -> Dataset:
     nan_mask = np.isnan(x)
     if nan_mask.any():
         x[nan_mask] = np.broadcast_to(model.fill, x.shape)[nan_mask]
-    return Dataset(columns=ds.columns, x=x, y=ds.y.copy(),
-                   provenance=ds.provenance.copy())
+    return Dataset(columns=ds.columns, x=x, y=ds.y.copy(), parents=ds.parents.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +211,8 @@ def read_dataset(csv_path) -> Dataset:
     """Read a dataset CSV written by :func:`write_dataset`.
 
     Column kinds come from the JSON sidecar when present; without one, a
-    column whose observed values are all 0/1 is treated as binary.  All
-    rows are tagged ORIGINAL.  A feature cell that is not a finite number,
+    column whose observed values are all 0/1 is treated as binary.  Every
+    row is original.  A feature cell that is not a finite number,
     or a label other than 0/1, is rejected with its file, row and column.
     """
     csv_path = Path(csv_path)
@@ -258,5 +260,4 @@ def read_dataset(csv_path) -> Dataset:
             binary = obs.size > 0 and np.isin(obs, (0.0, 1.0)).all()
             kinds.append(BINARY if binary else NUMERIC)
         columns = tuple(Column(nm, k) for nm, k in zip(names, kinds))
-    provenance = np.full(n, ORIGINAL, dtype=object)
-    return Dataset(columns=columns, x=x, y=y, provenance=provenance)
+    return Dataset(columns=columns, x=x, y=y)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from leakaudit.cohort_etl import DEFAULT_SCHEMA
-from leakaudit.tabular import BINARY, Column, Dataset, NUMERIC, ORIGINAL
+from leakaudit.tabular import BINARY, Column, Dataset, NUMERIC
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -19,17 +19,15 @@ def mimic_demo_cfg() -> Path:
     return FIXTURES / "mimic_demo.cfg"
 
 
-def make_dataset(x, y, kinds=None, provenance=None) -> Dataset:
-    """Build a small dataset; kinds default to numeric everywhere."""
+def make_dataset(x, y, kinds=None) -> Dataset:
+    """Build a small all-original dataset; kinds default to numeric everywhere."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
     p = x.shape[1]
     kinds = kinds or [NUMERIC] * p
     columns = tuple(Column(f"f{j}", kinds[j]) for j in range(p))
-    if provenance is None:
-        provenance = np.full(len(x), ORIGINAL, dtype=object)
-    return Dataset(columns=columns, x=x, y=np.asarray(y), provenance=np.asarray(provenance))
+    return Dataset(columns=columns, x=x, y=np.asarray(y))
 
 
 def random_imbalanced(rng, n_max=40, p_max=5, binary=False):

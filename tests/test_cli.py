@@ -135,6 +135,27 @@ def test_config_error_names_file_line_and_key(command, line, error, tmp_path, ca
     assert f"{cfg}:9: {error}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, error", [
+    ("--trees", "0", "bad value for config key 'forest.trees': n_trees must be at least 1"),
+    ("--folds", "1", "bad value for config key 'run.folds': folds must be at least 2"),
+    ("--beta", "2", "bad value for config key 'adasyn.beta': beta must be in [0, 1]"),
+    ("--k-neighbors", "0",
+     "bad value for config key 'adasyn.k_neighbors': k_neighbors must be at least 1"),
+    ("--repeats", "0", "bad value for config key 'run.repeats': repeats must be at least 1"),
+    ("--seed", "x", "bad value for config key 'run.seed': invalid literal for int()"),
+], ids=["trees", "folds", "beta", "k-neighbors", "repeats", "seed"])
+def test_run_flag_error_names_the_flag(flag, value, error, tmp_path, capsys):
+    data = tmp_path / "d"
+    main(["synth", "--n-total", "20", "--n-minority", "5", "--out", str(data)])
+    capsys.readouterr()
+    rc = main(["run", "--data", str(data / "dataset.csv"), flag, value,
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"error: {flag}: {error}" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_report_rerender_roundtrip(tmp_path):
     data = tmp_path / "d"
     main(["synth", "--n-total", "36", "--n-minority", "6", "--seed", "8",

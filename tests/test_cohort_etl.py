@@ -5,7 +5,7 @@ import pytest
 
 from leakaudit.cohort_etl import (DEFAULT_SCHEMA, CohortConfig, build_dataset,
                                   extract_cohort, label_los, load_tables)
-from leakaudit.tabular import BINARY, NUMERIC, ORIGINAL
+from leakaudit.tabular import BINARY, NUMERIC
 
 from conftest import write_empty_tables
 
@@ -261,7 +261,7 @@ def test_binary_columns_contain_only_01(demo_dataset):
         if col.kind == BINARY:
             v = demo_dataset.x[:, j]
             assert np.isin(v[~np.isnan(v)], (0.0, 1.0)).all()
-    assert (demo_dataset.provenance == ORIGINAL).all()
+    assert (demo_dataset.parents == -1).all()
 
 
 def test_duplicate_feature_keys_rejected(demo_cohort, demo_tables):

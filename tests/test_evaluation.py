@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from leakaudit.evaluation import (UndefinedAUROCError, auroc, confusion_matrix,
                                   contamination_check, stratified_kfold, summarize)
-from leakaudit.tabular import ORIGINAL, SYNTHETIC
 
 
 def brute_force_auroc(scores, labels):
@@ -163,22 +162,22 @@ def test_confusion_sums_to_n():
 # --- contamination_check --------------------------------------------------
 
 def test_excess_positives_flagged():
-    prov = np.full(40, ORIGINAL, dtype=object)
+    synthetic = np.zeros(40, dtype=bool)
     labels = np.array([1] * 20 + [0] * 20)
-    report = contamination_check(prov, labels, {0: 104, 1: 15})
+    report = contamination_check(synthetic, labels, {0: 104, 1: 15})
     assert report.flagged and report.eval_class_counts[1] == 20
 
 
 def test_clean_eval_not_flagged():
-    prov = np.full(10, ORIGINAL, dtype=object)
+    synthetic = np.zeros(10, dtype=bool)
     labels = np.array([1, 0] * 5)
-    report = contamination_check(prov, labels, {0: 10, 1: 10})
+    report = contamination_check(synthetic, labels, {0: 10, 1: 10})
     assert not report.flagged and report.synthetic_rows_in_eval == 0
 
 
 def test_single_synthetic_row_flags():
-    prov = np.array([ORIGINAL, SYNTHETIC, ORIGINAL], dtype=object)
-    report = contamination_check(prov, [0, 1, 1], {0: 100, 1: 100})
+    synthetic = np.array([False, True, False])
+    report = contamination_check(synthetic, [0, 1, 1], {0: 100, 1: 100})
     assert report.flagged and report.synthetic_rows_in_eval == 1
 
 

@@ -11,7 +11,6 @@ from leakaudit.experiment import (RunConfig, SETUP_AFTER, SETUP_BEFORE,
 from leakaudit.forest import ForestConfig
 from leakaudit.resampling import AdasynConfig
 from leakaudit.synth import SynthConfig, generate_cohort
-from leakaudit.tabular import SYNTHETIC
 
 from conftest import make_dataset
 
@@ -123,7 +122,7 @@ def test_mixed_provenance_input_rejected(cohort):
     rows = np.arange(cohort.n_rows)
     imputed = apply_imputer(cohort, fit_imputer(cohort, rows))
     aug = adasyn(imputed, rows, AdasynConfig(seed=0))
-    assert (aug.provenance == SYNTHETIC).any()
+    assert aug.synthetic.any()
     with pytest.raises(ValueError, match="all-original"):
         run_experiment(aug, small_cfg(SETUP_AFTER))
 

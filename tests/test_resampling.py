@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from leakaudit.resampling import AdasynConfig, _synthesize, adasyn, allocate_counts
-from leakaudit.tabular import ORIGINAL, SYNTHETIC
+from leakaudit.tabular import BINARY, Column, Dataset, NUMERIC
 
 from conftest import make_dataset, random_imbalanced
 
@@ -49,7 +50,7 @@ def test_balanced_input_returned_exactly():
     assert out.n_rows == 4
     np.testing.assert_array_equal(out.x, ds.x)
     np.testing.assert_array_equal(out.y, ds.y)
-    assert (out.provenance == ORIGINAL).all()
+    assert (out.parents == -1).all()
 
 
 def test_table_counts_104_15():
@@ -60,8 +61,8 @@ def test_table_counts_104_15():
     out = adasyn(ds, range(119), AdasynConfig(k_neighbors=5, beta=1.0, seed=1))
     assert out.n_rows == 208
     assert out.class_counts() == {0: 104, 1: 104}
-    assert (out.provenance[:119] == ORIGINAL).all()
-    assert (out.provenance[119:] == SYNTHETIC).all()
+    assert (out.parents[:119] == -1).all()
+    assert out.synthetic[119:].all()
 
 
 def test_two_point_minority_hand_fixture():
@@ -73,7 +74,7 @@ def test_two_point_minority_hand_fixture():
     assert out.n_rows == 6  # G = 3 - 2 = 1
     np.testing.assert_array_equal(out.x[:5], x)
     s = out.x[5]
-    assert out.y[5] == 1 and out.provenance[5] == SYNTHETIC
+    assert out.y[5] == 1 and out.synthetic[5]
     # the only minority pair is (0,0)-(10,10): the sample sits on that segment
     assert s[0] == pytest.approx(s[1], abs=1e-12)
     assert 0.0 <= s[0] <= 10.0
@@ -106,7 +107,7 @@ def test_deterministic_given_config():
     b = adasyn(ds, rows, _cfg(seed=77))
     np.testing.assert_array_equal(a.x, b.x)
     np.testing.assert_array_equal(a.y, b.y)
-    np.testing.assert_array_equal(a.provenance, b.provenance)
+    np.testing.assert_array_equal(a.parents, b.parents)
 
 
 def test_beta_scales_generated_count():
@@ -178,11 +179,55 @@ def test_synthetics_between_their_parents_pre_threshold():
             assert y[a] == minority and y[b] == minority
 
 
+@st.composite
+def dataset_and_rows(draw):
+    """A small dataset, some of whose rows already have parents, and a row
+    subset holding both classes."""
+    n = draw(st.integers(2, 30))
+    p = draw(st.integers(1, 3))
+    kinds = draw(st.lists(st.sampled_from([NUMERIC, BINARY]), min_size=p, max_size=p))
+    x = draw(arrays(np.float64, (n, p), elements=st.floats(-100, 100)))
+    binary = np.array([k == BINARY for k in kinds])
+    x[:, binary] = x[:, binary] > 0
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    y[:2] = (0, 1)
+    parents = draw(arrays(np.int64, (n, 2), elements=st.integers(0, n - 1)))
+    parents[~draw(arrays(bool, n))] = -1
+    ds = Dataset(columns=tuple(Column(f"f{j}", k) for j, k in enumerate(kinds)),
+                 x=x, y=y, parents=parents)
+    one_per_class = {draw(st.sampled_from(np.flatnonzero(y == c).tolist())) for c in (0, 1)}
+    rows = np.array(sorted(draw(st.sets(st.integers(0, n - 1))) | one_per_class))
+    return ds, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(dataset_and_rows(), st.integers(1, 6), st.sampled_from([0.0, 0.5, 1.0]),
+       st.integers(0, 2**32 - 1))
+def test_lineage_stays_within_the_oversampled_rows(data, k, beta, seed):
+    ds, rows = data
+    out = adasyn(ds, rows, AdasynConfig(k_neighbors=k, beta=beta, seed=seed))
+    sub = ds.y[rows]
+    minority = 1 if (sub == 1).sum() <= (sub == 0).sum() else 0
+    g = int(np.floor(beta * abs(int((sub == 1).sum()) - int((sub == 0).sum())) + 0.5))
+    assert out.n_rows == len(rows) + g
+    # carried-over rows keep their lineage; only the G new rows are added
+    np.testing.assert_array_equal(out.parents[:len(rows)], ds.parents[rows])
+    assert out.fingerprint()["synthetic_rows"] == g + int(ds.synthetic[rows].sum())
+    # setup (i)'s rule: synthetic rows are interpolated from the given rows only
+    new = out.parents[len(rows):]
+    assert np.isin(new, rows).all()
+    assert (ds.y[new] == minority).all()
+    lo = np.minimum(ds.x[new[:, 0]], ds.x[new[:, 1]])
+    hi = np.maximum(ds.x[new[:, 0]], ds.x[new[:, 1]])
+    cells = out.x[len(rows):]
+    assert ((cells >= lo - 1e-9) & (cells <= hi + 1e-9)).all()
+
+
 def test_binary_cells_thresholded_to_parent_value():
     rng = np.random.default_rng(23)
     ds = random_imbalanced(rng, binary=True)
     out = adasyn(ds, range(ds.n_rows), _cfg(seed=6))
-    synth_rows = out.x[out.provenance == SYNTHETIC]
+    synth_rows = out.x[out.synthetic]
     assert np.isin(synth_rows, (0.0, 1.0)).all()
 
 

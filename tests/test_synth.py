@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from leakaudit.synth import SynthConfig, generate_cohort
-from leakaudit.tabular import BINARY, NUMERIC, ORIGINAL
+from leakaudit.tabular import BINARY, NUMERIC
 
 
 def test_table_shape_counts():
     ds = generate_cohort(SynthConfig(n_total=112, n_minority=10, seed=3))
     assert ds.n_rows == 112
     assert ds.class_counts() == {0: 102, 1: 10}
-    assert (ds.provenance == ORIGINAL).all()
+    assert (ds.parents == -1).all()
 
 
 def test_class_counts_exact_across_configs():

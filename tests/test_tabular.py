@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from leakaudit.tabular import (BINARY, Column, Dataset, NUMERIC, ORIGINAL,
-                               apply_imputer, fit_imputer, read_dataset,
-                               write_dataset)
+from leakaudit.tabular import (BINARY, Column, Dataset, NUMERIC, apply_imputer,
+                               fit_imputer, read_dataset, write_dataset)
 
 from conftest import make_dataset
 
@@ -22,7 +21,19 @@ def test_dataset_validates_labels():
 def test_dataset_shape_mismatch():
     with pytest.raises(ValueError):
         Dataset(columns=(Column("a", NUMERIC),), x=np.zeros((3, 1)),
-                y=np.zeros(2, dtype=int), provenance=np.full(3, ORIGINAL, dtype=object))
+                y=np.zeros(2, dtype=int))
+
+
+@pytest.mark.parametrize("parents, match", [
+    (np.full((3, 1), -1), r"\(3, 2\) array"),
+    (np.full((2, 2), -1), r"\(3, 2\) array"),
+    ([[-1, -1], [-2, -2], [-1, -1]], "both parents"),
+    ([[-1, -1], [0, -1], [-1, -1]], "both parents"),
+], ids=["wrong-width", "wrong-length", "below-minus-one", "one-parent"])
+def test_dataset_rejects_malformed_parents(parents, match):
+    with pytest.raises(ValueError, match=match):
+        Dataset(columns=(Column("a", NUMERIC),), x=np.zeros((3, 1)),
+                y=np.zeros(3, dtype=int), parents=parents)
 
 
 # --- imputer -----------------------------------------------------------
@@ -56,7 +67,7 @@ def test_apply_without_missing_is_identity():
     ds = make_dataset([[1.0, 0.0], [2.0, 1.0]], [0, 1], kinds=[NUMERIC, BINARY])
     out = apply_imputer(ds, fit_imputer(ds, [0, 1]))
     np.testing.assert_array_equal(out.x, ds.x)
-    np.testing.assert_array_equal(out.provenance, ds.provenance)
+    np.testing.assert_array_equal(out.parents, ds.parents)
 
 
 def test_apply_fills_missing_cell():
@@ -81,7 +92,7 @@ def test_apply_is_idempotent():
 def test_apply_rejects_column_mismatch():
     ds_a = make_dataset([[1.0]], [0])
     ds_b = Dataset(columns=(Column("other", NUMERIC),), x=np.ones((1, 1)),
-                   y=np.zeros(1, dtype=int), provenance=np.full(1, ORIGINAL, dtype=object))
+                   y=np.zeros(1, dtype=int))
     with pytest.raises(ValueError, match="columns"):
         apply_imputer(ds_b, fit_imputer(ds_a, [0]))
 
@@ -151,7 +162,7 @@ def test_read_without_sidecar_infers_binary(tmp_path):
     path.write_text("a,b,label\n1,2.5,0\n0,1.5,1\n")
     ds = read_dataset(path)
     assert [c.kind for c in ds.columns] == [BINARY, NUMERIC]
-    assert (ds.provenance == ORIGINAL).all()
+    assert (ds.parents == -1).all()
 
 
 def test_read_missing_file_raises(tmp_path):

@@ -5,8 +5,10 @@ by the fraction of majority points among its K nearest neighbors, the
 total synthetic budget G = round(beta * (majority - minority)) is split
 across seeds by largest remainder so the counts are exact, and each
 synthetic sample is a uniform interpolation between a seed and one of its
-K nearest minority neighbors.  Generated rows record their two parents, so
-downstream contamination checks can find them and trace them back.
+K nearest minority neighbors.  One neighbour search per seed (a stable sort
+of its distances to every selected row, ties going to the lower row) feeds
+both its weight and its partners.  Generated rows record their two parents,
+so downstream contamination checks can find them and trace them back.
 """
 
 from __future__ import annotations
@@ -56,46 +58,6 @@ def allocate_counts(weights, total: int) -> np.ndarray:
     return counts
 
 
-def _nearest(dists: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k smallest entries, ties to the lower index."""
-    order = np.argsort(dists, kind="stable")
-    return order[:k]
-
-
-def _synthesize(x, y, columns, minority_label, k_cfg, g_counts, rng):
-    """Generate sum(g_counts) samples; returns (rows, parent index pairs).
-
-    ``g_counts[i]`` samples are interpolated from minority seed i toward a
-    uniformly drawn member of its K nearest minority neighbors (K clamped
-    to the available neighbor count).  Binary cells are thresholded at 0.5.
-    """
-    minority_idx = np.flatnonzero(y == minority_label)
-    x_min = x[minority_idx]
-    m_s = len(minority_idx)
-    k_min = min(k_cfg, m_s - 1)
-    binary_cols = np.array([c.kind == BINARY for c in columns])
-
-    samples, parents = [], []
-    for i, g in enumerate(g_counts):
-        if g == 0:
-            continue
-        if k_min >= 1:
-            d = np.linalg.norm(x_min - x_min[i], axis=1)
-            d[i] = np.inf  # never pick the seed itself
-            neighbors = _nearest(d, k_min)
-        else:
-            neighbors = np.array([i])  # lone minority point: duplicate it
-        for _ in range(g):
-            z = neighbors[rng.integers(len(neighbors))]
-            lam = rng.random()
-            s = x_min[i] + lam * (x_min[z] - x_min[i])
-            if binary_cols.any():
-                s[binary_cols] = np.where(s[binary_cols] >= 0.5, 1.0, 0.0)
-            samples.append(s)
-            parents.append((int(minority_idx[i]), int(minority_idx[z])))
-    return samples, parents
-
-
 def adasyn(ds: Dataset, rows, cfg: AdasynConfig) -> Dataset:
     """Oversample the minority class among ``rows``.
 
@@ -123,30 +85,47 @@ def adasyn(ds: Dataset, rows, cfg: AdasynConfig) -> Dataset:
     if g_total == 0:
         return Dataset(columns=ds.columns, x=x.copy(), y=y.copy(), parents=parents)
 
-    minority_idx = np.flatnonzero(y == minority_label)
-    majority_mask = y != minority_label
-
-    # seed weights: majority density among each seed's K nearest neighbors
+    is_min = y == minority_label
+    minority_idx = np.flatnonzero(is_min)
     k = cfg.k_neighbors
-    delta = np.empty(len(minority_idx))
+    k_all = min(k, len(y) - 1)
+    # a lone minority point is its own partner: its distance is inf, so it sorts last
+    k_min = max(min(k, m_s - 1), 1)
+
+    # one neighbour search per seed: its K nearest rows give its weight (their
+    # majority share), its K nearest minority rows its interpolation partners
+    nearest = np.empty((m_s, k_all), dtype=np.intp)
+    partners = []
     for i, mi in enumerate(minority_idx):
         d = np.linalg.norm(x - x[mi], axis=1)
-        d[mi] = np.inf
-        neighbors = _nearest(d, min(k, len(y) - 1))
-        delta[i] = majority_mask[neighbors].sum()
-    r = delta / k
+        d[mi] = np.inf  # never pick the seed itself
+        order = np.argsort(d, kind="stable")  # ties go to the lower row
+        nearest[i] = order[:k_all]
+        partners.append(order[is_min[order]][:k_min])
+    r = (~is_min[nearest]).sum(axis=1) / k
     if r.sum() > 0:
         weights = r / r.sum()
     else:
         # no seed has majority neighbors; fall back to uniform weights
-        weights = np.full(len(minority_idx), 1.0 / len(minority_idx))
+        weights = np.full(m_s, 1.0 / m_s)
     g_counts = allocate_counts(weights, g_total)
 
+    # the draw order fixes the output: per seed in order, per sample, a partner then a lambda
     rng = np.random.default_rng(cfg.seed)
-    # _synthesize numbers parents within the subset; rows maps them back to ds
-    samples, pairs = _synthesize(x, y, ds.columns, minority_label, k, g_counts, rng)
+    partner_rows, lam = [], []
+    for i in np.repeat(np.arange(m_s), g_counts):
+        partner_rows.append(partners[i][rng.integers(len(partners[i]))])
+        lam.append(rng.random())
+    seed_rows = np.repeat(minority_idx, g_counts)
+    partner_rows = np.array(partner_rows)
+    # seed + lam * (partner - seed), in place to spare three (G, p) temporaries
+    samples = x[partner_rows] - x[seed_rows]
+    samples *= np.array(lam)[:, None]
+    samples += x[seed_rows]
+    binary_cols = np.array([c.kind == BINARY for c in ds.columns], dtype=bool)
+    samples[:, binary_cols] = samples[:, binary_cols] >= 0.5
 
-    new_x = np.vstack([x, np.array(samples)])
+    new_x = np.vstack([x, samples])
     new_y = np.concatenate([y, np.full(g_total, minority_label, dtype=y.dtype)])
-    new_parents = np.vstack([parents, rows[np.array(pairs)]])
+    new_parents = np.vstack([parents, np.column_stack([rows[seed_rows], rows[partner_rows]])])
     return Dataset(columns=ds.columns, x=new_x, y=new_y, parents=new_parents)

@@ -32,6 +32,18 @@ class Column:
             raise ValueError(f"unknown column kind {self.kind!r} for {self.name!r}")
 
 
+def _integers(values, name: str) -> np.ndarray:
+    """``values`` as int64; fails naming ``name`` unless each one is an int64 value."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "biuf":
+        raise ValueError(f"{name} must hold integers, got dtype {a.dtype}")
+    if a.dtype.kind == "f":
+        bad = ~(np.abs(a) < 2.0**63) | (a != np.trunc(a))  # NaN fails both tests
+        if bad.any():
+            raise ValueError(f"{name} must hold integers, got {float(a[bad][0])!r}")
+    return a.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable feature matrix with labels and parent lineage.
@@ -47,9 +59,9 @@ class Dataset:
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=np.float64)
-        y = np.asarray(self.y, dtype=np.int64)
+        y = _integers(self.y, "y")
         parents = (np.full(x.shape[:1] + (2,), -1, dtype=np.int64) if self.parents is None
-                   else np.asarray(self.parents, dtype=np.int64))
+                   else _integers(self.parents, "parents"))
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "parents", parents)
@@ -213,7 +225,8 @@ def read_dataset(csv_path) -> Dataset:
     Column kinds come from the JSON sidecar when present; without one, a
     column whose observed values are all 0/1 is treated as binary.  Every
     row is original.  A feature cell that is not a finite number,
-    or a label other than 0/1, is rejected with its file, row and column.
+    or a label other than 0/1, is rejected with its file, row and column; a
+    malformed sidecar is rejected naming the sidecar.
     """
     csv_path = Path(csv_path)
     if not csv_path.exists():
@@ -245,13 +258,18 @@ def read_dataset(csv_path) -> Dataset:
 
     sidecar_path = csv_path.with_suffix(".json")
     if sidecar_path.exists():
-        with open(sidecar_path) as fh:
-            sidecar = json.load(fh)
-        declared = {c["name"]: c["kind"] for c in sidecar["columns"]}
-        missing = [nm for nm in names if nm not in declared]
-        if missing:
-            raise ValueError(f"{sidecar_path}: no kind declared for columns {missing}")
-        columns = tuple(Column(nm, declared[nm]) for nm in names)
+        try:
+            with open(sidecar_path) as fh:
+                declared = {c["name"]: c["kind"] for c in json.load(fh)["columns"]}
+            missing = [nm for nm in names if nm not in declared]
+            if missing:
+                raise ValueError(f"no kind declared for columns {missing}")
+            columns = tuple(Column(nm, declared[nm]) for nm in names)
+        except (KeyError, TypeError):  # a key missing, or a value of the wrong type
+            raise ValueError(f'{sidecar_path}: expected {{"columns": '
+                             f'[{{"name": ..., "kind": ...}}, ...]}}') from None
+        except ValueError as exc:  # not JSON, or an unknown kind
+            raise ValueError(f"{sidecar_path}: {exc}") from None
     else:
         kinds = []
         for j in range(p):

@@ -97,6 +97,17 @@ def test_run_missing_data_file(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_run_malformed_sidecar_names_it(tmp_path, capsys):
+    data = tmp_path / "d"
+    main(["synth", "--n-total", "20", "--n-minority", "5", "--out", str(data)])
+    capsys.readouterr()
+    (data / "dataset.json").write_text("[]")
+    rc = main(["run", "--data", str(data / "dataset.csv"), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"error: {data / 'dataset.json'}: " in err and "Traceback" not in err
+
+
 def test_config_file_overrides_and_cli_wins(tmp_path):
     data = tmp_path / "d"
     main(["synth", "--n-total", "36", "--n-minority", "6", "--seed", "8",

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from leakaudit.resampling import AdasynConfig, _synthesize, adasyn, allocate_counts
+from leakaudit.resampling import AdasynConfig, adasyn, allocate_counts
 from leakaudit.tabular import BINARY, Column, Dataset, NUMERIC
 
+from adasyn_reference import reference_adasyn
 from conftest import make_dataset, random_imbalanced
 
 
@@ -167,11 +168,8 @@ def test_synthetics_between_their_parents_pre_threshold():
         ds = random_imbalanced(rng)
         y = ds.y
         minority = 1 if (y == 1).sum() <= (y == 0).sum() else 0
-        g = int(abs((y == 0).sum() - (y == 1).sum()))
-        counts = np.zeros((y == minority).sum(), dtype=int)
-        counts[: min(len(counts), g)] = 1
-        samples, parents = _synthesize(ds.x, y, ds.columns, minority, 3,
-                                       counts, np.random.default_rng(1))
+        out = adasyn(ds, range(ds.n_rows), _cfg(seed=1))
+        samples, parents = out.x[ds.n_rows:], out.parents[ds.n_rows:]
         for s, (a, b) in zip(samples, parents):
             lo = np.minimum(ds.x[a], ds.x[b])
             hi = np.maximum(ds.x[a], ds.x[b])
@@ -221,6 +219,45 @@ def test_lineage_stays_within_the_oversampled_rows(data, k, beta, seed):
     hi = np.maximum(ds.x[new[:, 0]], ds.x[new[:, 1]])
     cells = out.x[len(rows):]
     assert ((cells >= lo - 1e-9) & (cells <= hi + 1e-9)).all()
+
+
+@st.composite
+def tie_heavy_case(draw):
+    """A dataset full of tied distances (integer grids, duplicate rows), some
+    binary columns, and a row subset holding both classes, sometimes with a
+    lone minority row."""
+    n = draw(st.integers(2, 60))
+    p = draw(st.integers(1, 3))
+    kinds = draw(st.lists(st.sampled_from([NUMERIC, BINARY]), min_size=p, max_size=p))
+    cells = draw(st.sampled_from([st.integers(-2, 2).map(float), st.floats(-100, 100)]))
+    pool = draw(arrays(np.float64, (draw(st.integers(1, n)), p), elements=cells))
+    x = pool[draw(arrays(np.intp, n, elements=st.integers(0, len(pool) - 1)))]
+    binary = np.array([k == BINARY for k in kinds])
+    x[:, binary] = x[:, binary] > 0
+    if draw(st.booleans()):
+        y = np.zeros(n, dtype=int)
+        y[draw(st.integers(0, n - 1))] = 1
+    else:
+        y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+        y[:2] = (0, 1)
+    ds = make_dataset(x, y, kinds)
+    # numpy's default sort keeps ties in order on short inputs (insertion sort
+    # below 17 items), so keep subsets large enough for an unstable sort to show
+    keep = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    keep[[draw(st.sampled_from(np.flatnonzero(y == c).tolist())) for c in (0, 1)]] = True
+    return ds, np.flatnonzero(keep)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_case(), st.integers(1, 7), st.sampled_from([0.0, 0.5, 1.0]),
+       st.integers(0, 2**32 - 1))
+def test_adasyn_matches_the_two_pass_reference_bitwise(data, k, beta, seed):
+    ds, rows = data
+    cfg = AdasynConfig(k_neighbors=k, beta=beta, seed=seed)
+    out, ref = adasyn(ds, rows, cfg), reference_adasyn(ds, rows, cfg)
+    assert out.x.tobytes() == ref.x.tobytes()
+    np.testing.assert_array_equal(out.y, ref.y)
+    np.testing.assert_array_equal(out.parents, ref.parents)
 
 
 def test_binary_cells_thresholded_to_parent_value():

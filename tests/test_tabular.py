@@ -18,6 +18,17 @@ def test_dataset_validates_labels():
         make_dataset([[1.0]], [2])
 
 
+@pytest.mark.parametrize("y, match", [
+    ([0.7, 1.2], "y must hold integers, got 0.7"),
+    ([np.nan, 1], "y must hold integers, got nan"),
+    ([np.inf, 1], "y must hold integers, got inf"),
+], ids=["fractional", "nan", "inf"])
+def test_dataset_rejects_non_integral_labels(y, match):
+    with pytest.raises(ValueError, match=match):
+        make_dataset([[0.0], [1.0]], y)
+    assert make_dataset([[0.0], [1.0]], [0.0, 1.0]).y.tolist() == [0, 1]
+
+
 def test_dataset_shape_mismatch():
     with pytest.raises(ValueError):
         Dataset(columns=(Column("a", NUMERIC),), x=np.zeros((3, 1)),
@@ -29,7 +40,11 @@ def test_dataset_shape_mismatch():
     (np.full((2, 2), -1), r"\(3, 2\) array"),
     ([[-1, -1], [-2, -2], [-1, -1]], "both parents"),
     ([[-1, -1], [0, -1], [-1, -1]], "both parents"),
-], ids=["wrong-width", "wrong-length", "below-minus-one", "one-parent"])
+    ([[-1, -1], [0.7, 1.9], [-1, -1]], "parents must hold integers, got 0.7"),
+    ([[-1, -1], [np.nan, 1], [-1, -1]], "parents must hold integers, got nan"),
+    ([[-1, -1], [1e30, 1e30], [-1, -1]], r"parents must hold integers, got 1e\+30"),
+], ids=["wrong-width", "wrong-length", "below-minus-one", "one-parent", "fractional", "nan",
+        "beyond-int64"])
 def test_dataset_rejects_malformed_parents(parents, match):
     with pytest.raises(ValueError, match=match):
         Dataset(columns=(Column("a", NUMERIC),), x=np.zeros((3, 1)),
@@ -181,3 +196,20 @@ def test_read_rejects_bad_cell_naming_file_row_column(tmp_path, bad_row, message
     with pytest.raises(ValueError) as err:
         read_dataset(path)
     assert str(err.value) == f"{path}: row 3, {message}"
+
+
+@pytest.mark.parametrize("sidecar, message", [
+    ("not json", "Expecting value: line 1 column 1"),
+    ("{}", 'expected {"columns": [{"name": ..., "kind": ...}, ...]}'),
+    ('{"columns": [{"name": "bin_00"}]}', 'expected {"columns": '),
+    ('{"columns": [{"name": "bin_00", "kind": "bool"}]}',
+     "unknown column kind 'bool' for 'bin_00'"),
+    ("[]", 'expected {"columns": '),
+], ids=["not-json", "no-columns", "no-kind", "unknown-kind", "list"])
+def test_read_rejects_malformed_sidecar_naming_it(tmp_path, sidecar, message):
+    path = tmp_path / "d.csv"
+    path.write_text("bin_00,label\n1,0\n0,1\n")
+    (tmp_path / "d.json").write_text(sidecar)
+    with pytest.raises(ValueError) as err:
+        read_dataset(path)
+    assert str(err.value).startswith(f"{tmp_path / 'd.json'}: {message}")

@@ -18,9 +18,8 @@ import sys
 from pathlib import Path
 
 from . import cohort_etl, config as cfgmod, synth
-from .experiment import (ALL_SETUPS, RunConfig, SETUP_AFTER, SETUP_BEFORE,
-                         SETUP_LEAKY_HOLDOUT, SETUP_NO_OVERSAMPLING,
-                         render_payload, render_report, run_experiment)
+from .experiment import (ALL_SETUPS, SETUPS, RunConfig, render_payload, render_report,
+                         run_experiment)
 from .forest import ForestConfig
 from .resampling import AdasynConfig
 from .tabular import read_dataset, write_dataset
@@ -35,12 +34,8 @@ _RUN_FLAGS = {
     "--trees": ("forest.trees", None),
 }
 
-_SETUP_ALIASES = {
-    "i": SETUP_AFTER,
-    "ii": SETUP_NO_OVERSAMPLING,
-    "iii": SETUP_BEFORE,
-    "holdout": SETUP_LEAKY_HOLDOUT,
-}
+# --setup value -> setup name
+_SETUP_ALIASES = {flag: name for name, (flag, _) in SETUPS.items()}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -73,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run experiment setups on a dataset CSV",
                            argument_default=argparse.SUPPRESS)
     p_run.add_argument("--data", type=Path, required=True, help="dataset CSV")
-    p_run.add_argument("--setup", choices=["i", "ii", "iii", "holdout", "all"], default="all")
+    p_run.add_argument("--setup", choices=[*_SETUP_ALIASES, "all"], default="all")
     # each setting flag sets a config key, and like a file line only when given;
     # _cmd_run parses and checks its value as parse_config does a file's
     for flag, (key, text) in _RUN_FLAGS.items():

@@ -10,18 +10,21 @@ The extraction applies four rules to the relational tables:
    prefix (default ``162``, lung cancer);
 4. build one feature row per surviving subject from their latest
    admission / ICU stay: binary medication indicators, gender, an
-   age-over-cutoff flag, a one-hot admission type, and per-lab means.
+   age-over-cutoff flag, a one-hot admission type (case and spaces
+   ignored), and per-lab means.
 
 The per-stay length of stay, binarized at a configurable threshold,
 is the prediction target.
 
-The tables are read in two passes.  Pass 1, :func:`load_tables`, reads
-ADMISSIONS, ICUSTAYS, DIAGNOSES_ICD and PATIENTS into row dicts, from which
-:func:`extract_cohort` fixes the cohort; of PRESCRIPTIONS and CHARTEVENTS it
-only checks the file and header.  Pass 2, :func:`build_dataset`, streams each
-event table once and keeps, for cohort subjects only, a flag per medication
-key and the values of each lab key.  Memory is thus bounded by the cohort
-(and the four small tables), not by the number of events.
+A table needs only the columns of :data:`DEFAULT_SCHEMA`, the ones
+extraction reads; any other column is ignored.  The tables are read in two
+passes.  Pass 1, :func:`load_tables`, reads ADMISSIONS, ICUSTAYS,
+DIAGNOSES_ICD and PATIENTS into row dicts, from which :func:`extract_cohort`
+fixes the cohort; of PRESCRIPTIONS and CHARTEVENTS it only checks the file
+and header.  Pass 2, :func:`build_dataset`, streams each event table once
+and keeps, for cohort subjects only, a flag per medication key and the
+values of each lab key.  Memory is thus bounded by the cohort (and the four
+small tables), not by the number of events.
 """
 
 from __future__ import annotations
@@ -35,15 +38,14 @@ import numpy as np
 
 from .tabular import BINARY, NUMERIC, Column, Dataset
 
-# Canonical MIMIC-III file and column names.  Every entry can be overridden
-# through the run-config schema map (e.g. ``schema.admissions.expire_flag``).
+# Canonical MIMIC-III names of each file and of the columns extraction reads, all
+# required.  Each can be overridden through the schema map (``schema.admissions.expire_flag``).
 DEFAULT_SCHEMA = {
     "admissions": {
         "file": "ADMISSIONS.csv",
         "subject_id": "SUBJECT_ID",
         "hadm_id": "HADM_ID",
         "admit_time": "ADMITTIME",
-        "disch_time": "DISCHTIME",
         "admission_type": "ADMISSION_TYPE",
         "diagnosis": "DIAGNOSIS",
         # The admission-level flag; a patient-level EXPIRE_FLAG also exists
@@ -62,21 +64,16 @@ DEFAULT_SCHEMA = {
     "diagnoses_icd": {
         "file": "DIAGNOSES_ICD.csv",
         "subject_id": "SUBJECT_ID",
-        "hadm_id": "HADM_ID",
         "icd9_code": "ICD9_CODE",
     },
     "prescriptions": {
         "file": "PRESCRIPTIONS.csv",
         "subject_id": "SUBJECT_ID",
-        "hadm_id": "HADM_ID",
-        "icustay_id": "ICUSTAY_ID",
         "drug": "DRUG",
     },
     "chartevents": {
         "file": "CHARTEVENTS.csv",
         "subject_id": "SUBJECT_ID",
-        "hadm_id": "HADM_ID",
-        "icustay_id": "ICUSTAY_ID",
         "item_key": "ITEMID",
         "value_num": "VALUENUM",
     },
@@ -328,8 +325,9 @@ def build_dataset(cohort: CohortTable, tables: RawTables, cfg: CohortConfig) -> 
     """Assemble the per-patient feature matrix and LOS label.
 
     Column layout: one binary column per medication key, gender, the
-    age-over-cutoff flag, a one-hot over admission types seen in the
-    cohort (lexicographic), then one numeric mean column per lab key.
+    age-over-cutoff flag, a one-hot over the admission types seen in the
+    cohort (lowercased, spaces dropped, an empty type read as ``unknown``;
+    sorted by that key), then one numeric mean column per lab key.
     """
     med_keys = [_normalize_key(k) for k in cfg.medication_keys]
     lab_keys = [_normalize_key(k) for k in cfg.lab_keys]
@@ -355,12 +353,13 @@ def build_dataset(cohort: CohortTable, tables: RawTables, cfg: CohortConfig) -> 
                 if k in item:
                     labs.setdefault((e["subject_id"], k), []).append(e["value_num"])
 
-    adm_types = sorted({r.admission_type for r in cohort.rows})
+    adm_keys = [_normalize_key(r.admission_type) or "unknown" for r in cohort.rows]
+    adm_types = sorted(set(adm_keys))
     columns = (
         [Column(f"med_{k}", BINARY) for k in med_keys]
         + [Column("gender_male", BINARY),
            Column(f"age_gt_{cfg.age_cutoff_years:g}", BINARY)]
-        + [Column(f"admtype_{_normalize_key(t) or 'unknown'}", BINARY) for t in adm_types]
+        + [Column(f"admtype_{t}", BINARY) for t in adm_types]
         + [Column(f"lab_{k}", NUMERIC) for k in lab_keys]
     )
 
@@ -371,7 +370,7 @@ def build_dataset(cohort: CohortTable, tables: RawTables, cfg: CohortConfig) -> 
         feats = [1.0 if (row.subject_id, k) in meds else 0.0 for k in med_keys]
         feats.append(1.0 if row.gender.upper().startswith("M") else 0.0)
         feats.append(1.0 if row.age_years is not None and row.age_years > cfg.age_cutoff_years else 0.0)
-        feats.extend(1.0 if row.admission_type == t else 0.0 for t in adm_types)
+        feats.extend(1.0 if adm_keys[i] == t else 0.0 for t in adm_types)
         for k in lab_keys:
             values = labs.get((row.subject_id, k))
             feats.append(float(np.mean(values)) if values else np.nan)

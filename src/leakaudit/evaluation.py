@@ -1,4 +1,7 @@
-"""Stratified fold planning, ranking metrics, and contamination checks.
+"""Stratified split planning, ranking metrics, and contamination checks.
+
+Both split plans, :func:`stratified_kfold` and :func:`stratified_holdout`,
+start from one seeded shuffle of each class's rows, in ``np.unique`` order.
 
 AUROC is the Mann-Whitney statistic (ties count half), which equals the
 trapezoidal area under the ROC curve.  The contamination check is the
@@ -41,6 +44,15 @@ class FoldResult:
     repeat: int = 0
 
 
+def _shuffled_classes(y: np.ndarray, seed: int) -> list[np.ndarray]:
+    """Each class's row indices, in ``np.unique`` order, shuffled by one seeded generator."""
+    rng = np.random.default_rng(seed)
+    groups = [np.flatnonzero(y == cls) for cls in np.unique(y)]
+    for idx in groups:
+        rng.shuffle(idx)
+    return groups
+
+
 def stratified_kfold(labels, k: int, seed: int) -> FoldPlan:
     """Plan k disjoint, covering folds with per-class counts within 1.
 
@@ -54,24 +66,29 @@ def stratified_kfold(labels, k: int, seed: int) -> FoldPlan:
         raise ValueError("k must be at least 2")
     if k > n:
         raise ValueError(f"k={k} exceeds the number of rows ({n})")
-    classes, counts = np.unique(y, return_counts=True)
-    if len(classes) < 2:
+    groups = _shuffled_classes(y, seed)
+    if len(groups) < 2:
         raise ValueError("stratification requires at least two classes")
+    minority = min(len(idx) for idx in groups)
+    warnings = () if k <= minority else (
+        f"k={k} exceeds the minority count ({minority}); some folds have no minority rows",)
 
-    warnings = []
-    minority = int(counts.min())
-    if k > minority:
-        warnings.append(
-            f"k={k} exceeds the minority count ({minority}); some folds have no minority rows")
-
-    rng = np.random.default_rng(seed)
     folds: list[list[int]] = [[] for _ in range(k)]
-    for cls in classes:
-        idx = np.flatnonzero(y == cls)
-        rng.shuffle(idx)
+    for idx in groups:
         for pos, row in enumerate(idx):
             folds[pos % k].append(int(row))
-    return FoldPlan(folds=tuple(tuple(sorted(f)) for f in folds), warnings=tuple(warnings))
+    return FoldPlan(folds=tuple(tuple(sorted(f)) for f in folds), warnings=warnings)
+
+
+def stratified_holdout(labels, test_fraction: float, seed: int) -> FoldPlan:
+    """Plan one stratified split, its test side as the single fold: of each class's
+    ``n_c`` shuffled rows, ``round(test_fraction * n_c)`` clamped to ``[1, n_c - 1]``,
+    so a singleton class stays on the training side."""
+    test: list[int] = []
+    for idx in _shuffled_classes(np.asarray(labels), seed):
+        n_test = min(max(int(round(test_fraction * len(idx))), 1), len(idx) - 1)
+        test.extend(idx[:n_test].tolist())
+    return FoldPlan(folds=(tuple(sorted(test)),))
 
 
 def _average_ranks(v: np.ndarray) -> np.ndarray:

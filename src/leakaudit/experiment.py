@@ -11,13 +11,14 @@ Setups, on the same dataset and derived seeds:
 * ``leaky_holdout``       - impute and oversample everything, then take a
   single stratified holdout split (the balance-then-split mistake).
 
-All four run through one loop in :func:`run_experiment`.  Each repeat
-(1) imputes and oversamples every row when the setup leaks, (2) plans its
-splits - k stratified folds, or the holdout as a one-split plan - and
-(3) trains and scores every split the same way.  A split whose test side
-holds one class, or whose training rows cannot be imputed, oversampled or
-trained on, is listed in ``skipped`` and the run carries on; so is a leaky
-repeat whose all-row imputation or oversampling fails.
+:data:`SETUPS`, their one table, gives each its ``--setup`` value and
+``report.md`` label, in report order.  All four run through one loop in
+:func:`run_experiment`.  Each repeat (1) imputes and oversamples every row
+when the setup leaks, (2) plans its splits - k stratified folds, or the
+stratified holdout's one - and (3) trains and scores every split the same
+way.  A split whose test side holds one class, or whose training rows cannot
+be imputed, oversampled or trained on, is listed in ``skipped`` and the run
+carries on; so is a repeat whose all-row preparation or split plan fails.
 
 Every stochastic choice is seeded from ``master_seed`` through labeled
 derivation, so identical configs give identical reports and the setups
@@ -33,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .evaluation import (FoldResult, auroc, confusion_matrix, contamination_check,
-                         stratified_kfold, summarize)
+                         stratified_holdout, stratified_kfold, summarize)
 from .forest import ForestConfig, predict_proba, train_forest
 from .resampling import AdasynConfig, adasyn
 from .seeding import derive_seed
@@ -44,16 +45,15 @@ SETUP_NO_OVERSAMPLING = "no_oversampling"
 SETUP_BEFORE = "before_partitioning"
 SETUP_LEAKY_HOLDOUT = "leaky_holdout"
 
-CV_SETUPS = (SETUP_AFTER, SETUP_NO_OVERSAMPLING, SETUP_BEFORE)
-ALL_SETUPS = CV_SETUPS + (SETUP_LEAKY_HOLDOUT,)
-
-# fixed row order for rendered tables: the three CV setups, then the holdout
-_SETUP_LABELS = {
-    SETUP_AFTER: "(i) imputation + oversampling after partitioning",
-    SETUP_NO_OVERSAMPLING: "(ii) no oversampling",
-    SETUP_BEFORE: "(iii) imputation + oversampling before partitioning",
-    SETUP_LEAKY_HOLDOUT: "leaky 70/30 holdout (balanced before splitting)",
+# setup name -> (its ``--setup`` value, its report.md label); this order is
+# the report's: the three CV setups, then the holdout
+SETUPS = {
+    SETUP_AFTER: ("i", "(i) imputation + oversampling after partitioning"),
+    SETUP_NO_OVERSAMPLING: ("ii", "(ii) no oversampling"),
+    SETUP_BEFORE: ("iii", "(iii) imputation + oversampling before partitioning"),
+    SETUP_LEAKY_HOLDOUT: ("holdout", "leaky 70/30 holdout (balanced before splitting)"),
 }
+ALL_SETUPS = tuple(SETUPS)
 
 
 @dataclass(frozen=True)
@@ -113,23 +113,6 @@ def _check_input(ds: Dataset) -> None:
         raise ValueError("both classes must be present")
 
 
-def _holdout_test_rows(labels, test_fraction: float, seed: int) -> np.ndarray:
-    """Test side of a single stratified split, as sorted row indices."""
-    y = np.asarray(labels)
-    rng = np.random.default_rng(seed)
-    test = []
-    for cls in np.unique(y):
-        idx = np.flatnonzero(y == cls)
-        rng.shuffle(idx)
-        n_test = int(round(test_fraction * len(idx)))
-        if len(idx) >= 2:
-            n_test = min(max(n_test, 1), len(idx) - 1)
-        else:
-            n_test = 0  # a singleton class stays trainable
-        test.extend(idx[:n_test])
-    return np.array(sorted(test), dtype=np.intp)
-
-
 def run_experiment(ds: Dataset, cfg: RunConfig) -> ExperimentReport:
     """Run the setup named by ``cfg.setup``; splits that cannot be scored are skipped."""
     _check_input(ds)
@@ -142,24 +125,22 @@ def run_experiment(ds: Dataset, cfg: RunConfig) -> ExperimentReport:
     skipped: list[str] = []
     for r in range(cfg.repeats):
         work = ds
-        if leaky:
-            # leak on purpose: fit statistics and oversample on every row
-            try:
+        try:
+            if leaky:
+                # leak on purpose: fit statistics and oversample on every row
                 imputed = apply_imputer(ds, fit_imputer(ds, all_rows))
                 work = adasyn(imputed, all_rows, replace(
                     cfg.adasyn, seed=derive_seed(cfg.master_seed, "adasyn", r)))
-            except ValueError as exc:
-                skipped.append(f"repeat {r}: {exc}")
-                continue
-        if holdout:
-            splits = [_holdout_test_rows(work.y, cfg.holdout_test_fraction,
-                                         derive_seed(cfg.master_seed, "holdout", r))]
-        else:
-            plan = stratified_kfold(work.y, cfg.folds, derive_seed(cfg.master_seed, "folds", r))
-            skipped.extend(f"repeat {r}: {w}" for w in plan.warnings)
-            splits = plan.folds
+            plan = (stratified_holdout(work.y, cfg.holdout_test_fraction,
+                                       derive_seed(cfg.master_seed, "holdout", r)) if holdout
+                    else stratified_kfold(work.y, cfg.folds,
+                                          derive_seed(cfg.master_seed, "folds", r)))
+        except ValueError as exc:
+            skipped.append(f"repeat {r}: {exc}")
+            continue
+        skipped.extend(f"repeat {r}: {w}" for w in plan.warnings)
 
-        for f, test in enumerate(splits):
+        for f, test in enumerate(plan.folds):
             where = f"repeat {r}" if holdout else f"repeat {r} fold {f}"
             test = np.asarray(test, dtype=np.intp)
             test_y = work.y[test]
@@ -206,12 +187,17 @@ def run_experiment(ds: Dataset, cfg: RunConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 def report_to_dict(reports) -> dict:
-    """Merge one report per setup into the documented JSON layout."""
-    reports = list(reports)
+    """Merge the per-setup reports of one run into the documented JSON layout;
+    reports whose config or dataset differ, or that repeat a setup, raise ``ValueError``."""
+    reports = sorted(reports, key=lambda rep: ALL_SETUPS.index(rep.setup.name))
     if not reports:
         raise ValueError("at least one report is required")
-    order = {name: i for i, name in enumerate(ALL_SETUPS)}
-    reports.sort(key=lambda rep: order.get(rep.setup.name, len(order)))
+    for prev, rep in zip(reports, reports[1:]):
+        for key in ("config", "dataset_fingerprint"):
+            if getattr(rep, key) != getattr(prev, key):
+                raise ValueError(f"reports of different runs: their {key} differs")
+        if rep.setup.name == prev.setup.name:
+            raise ValueError(f"setup {rep.setup.name!r} is reported more than once")
     return {
         "config": dict(reports[0].config),
         "dataset_fingerprint": dict(reports[0].dataset_fingerprint),
@@ -263,7 +249,7 @@ def render_payload(payload: dict, out_dir) -> dict:
 
     lines = ["| Method | AUROC (in %) |", "| --- | --- |"]
     for s in payload["setups"]:
-        label = _SETUP_LABELS.get(s["name"], s["name"])
+        label = SETUPS[s["name"]][1] if s["name"] in SETUPS else s["name"]
         lines.append(f"| {label} | {_format_pct(s['mean_auroc'], s['std_auroc'])} |")
     md_path = out_dir / "report.md"
     md_path.write_text("\n".join(lines) + "\n")
@@ -273,8 +259,7 @@ def render_payload(payload: dict, out_dir) -> dict:
 def render_report(reports, out_dir) -> dict:
     """Write ``report.json`` and ``report.md`` under ``out_dir``.
 
-    The markdown table has one row per setup, in the canonical (i), (ii),
-    (iii) order with the holdout last; rendering the same reports twice
-    produces identical bytes.
+    The markdown table has one row per setup, in :data:`SETUPS` order;
+    rendering the same reports twice produces identical bytes.
     """
     return render_payload(report_to_dict(reports), out_dir)

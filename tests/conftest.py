@@ -49,12 +49,12 @@ def random_imbalanced(rng, n_max=40, p_max=5, binary=False):
 def write_empty_tables(directory: Path) -> None:
     """Header-only CSVs for all six tables, canonical column names."""
     headers = {
-        "admissions": ["subject_id", "hadm_id", "admit_time", "disch_time",
-                       "admission_type", "diagnosis", "expire_flag"],
+        "admissions": ["subject_id", "hadm_id", "admit_time", "admission_type",
+                       "diagnosis", "expire_flag"],
         "icustays": ["subject_id", "hadm_id", "icustay_id", "in_time", "out_time", "los"],
-        "diagnoses_icd": ["subject_id", "hadm_id", "icd9_code"],
-        "prescriptions": ["subject_id", "hadm_id", "icustay_id", "drug"],
-        "chartevents": ["subject_id", "hadm_id", "icustay_id", "item_key", "value_num"],
+        "diagnoses_icd": ["subject_id", "icd9_code"],
+        "prescriptions": ["subject_id", "drug"],
+        "chartevents": ["subject_id", "item_key", "value_num"],
         "patients": ["subject_id", "dob", "gender"],
     }
     for table, fields in headers.items():

@@ -61,6 +61,24 @@ def test_run_skips_split_with_degenerate_training_rows(tmp_path, mimic_demo_dir,
     assert len(setups["leaky_holdout"]["folds"]) == 1
 
 
+def test_run_k_above_rows_skips_only_the_setups_it_cannot_plan(tmp_path):
+    # 8 rows cannot be dealt into 10 folds, but setup (iii) oversamples them
+    # to 12 first and the holdout needs one split: the report still stands
+    data = tmp_path / "d"
+    assert main(["synth", "--n-total", "8", "--n-minority", "2", "--n-numeric", "2",
+                 "--n-binary", "1", "--n-informative", "1", "--seed", "0",
+                 "--out", str(data)]) == 0
+    assert main(["run", "--data", str(data / "dataset.csv"), "--setup", "all",
+                 "--folds", "10", "--out", str(tmp_path / "r")]) == 0
+    setups = {s["name"]: s for s in
+              json.loads((tmp_path / "r" / "report.json").read_text())["setups"]}
+    for name in ("after_partitioning", "no_oversampling"):
+        assert setups[name]["folds"] == []
+        assert setups[name]["skipped"] == ["repeat 0: k=10 exceeds the number of rows (8)"]
+    assert setups["before_partitioning"]["folds"]
+    assert len(setups["leaky_holdout"]["folds"]) == 1
+
+
 def test_run_single_setup(tmp_path, capsys):
     data = tmp_path / "d"
     main(["synth", "--n-total", "40", "--n-minority", "6", "--seed", "2",
@@ -134,6 +152,9 @@ def test_config_file_overrides_and_cli_wins(tmp_path):
     ("etl", "cohort.icd9_prefixes = ,", "bad value for config key 'cohort.icd9_prefixes'"),
     ("etl", "schema.chartevents.itemkey = LABEL",
      "unknown config key 'schema.chartevents.itemkey'"),
+    # a column extraction never reads is not part of the schema
+    ("etl", "schema.admissions.disch_time = DISCHTIME",
+     "unknown config key 'schema.admissions.disch_time'"),
 ])
 def test_config_error_names_file_line_and_key(command, line, error, tmp_path, capsys,
                                               mimic_demo_dir, mimic_demo_cfg):

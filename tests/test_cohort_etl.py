@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -87,10 +88,67 @@ def test_missing_column_names_table_and_column(tmp_path, table, column):
 @pytest.mark.parametrize("table, field", [
     ("chartevents", "itemkey"),  # a typo for item_key
     ("labevents", "file"),
+    ("admissions", "disch_time"),
+    ("diagnoses_icd", "hadm_id"),
+    ("prescriptions", "hadm_id"),
+    ("prescriptions", "icustay_id"),
+    ("chartevents", "hadm_id"),
+    ("chartevents", "icustay_id"),
 ])
 def test_unknown_schema_key_rejected(mimic_demo_dir, table, field):
     with pytest.raises(ValueError, match=f"schema.{table}.{field}"):
         load_tables(mimic_demo_dir, {table: {field: "LABEL"}})
+
+
+def _copy_demo(mimic_demo_dir, tmp_path, edit):
+    """The demo tables under ``tmp_path``, each CSV's rows passed through
+    ``edit(file stem, header, rows) -> (header, rows)``."""
+    for src in mimic_demo_dir.glob("*.csv"):
+        with open(src, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        header, rows = edit(src.stem, header, rows)
+        with open(tmp_path / src.name, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+    return tmp_path
+
+
+def _dataset(directory):
+    tables = load_tables(directory)
+    cohort = extract_cohort(tables, DEMO_CFG)
+    return cohort, build_dataset(cohort, tables, DEMO_CFG)
+
+
+# columns of the demo tables that extraction does not read and the schema does not name
+UNREAD = {"ADMISSIONS": ["DISCHTIME"], "DIAGNOSES_ICD": ["HADM_ID"],
+          "PRESCRIPTIONS": ["HADM_ID", "ICUSTAY_ID"], "CHARTEVENTS": ["HADM_ID", "ICUSTAY_ID"]}
+
+
+def test_tables_without_unread_columns_give_the_same_dataset(tmp_path, mimic_demo_dir):
+    def drop_unread(stem, header, rows):
+        keep = [j for j, name in enumerate(header) if name not in UNREAD.get(stem, ())]
+        return [header[j] for j in keep], [[row[j] for j in keep] for row in rows]
+
+    _, full = _dataset(mimic_demo_dir)
+    _, slim = _dataset(_copy_demo(mimic_demo_dir, tmp_path, drop_unread))
+    assert slim.column_names == full.column_names
+    np.testing.assert_array_equal(slim.x, full.x)
+    np.testing.assert_array_equal(slim.y, full.y)
+
+
+def test_admission_types_differing_in_case_share_one_column(tmp_path, mimic_demo_dir):
+    def recase_subject_9(stem, header, rows):
+        if stem == "ADMISSIONS":
+            at = header.index("ADMISSION_TYPE")
+            for row in rows:
+                if row[0] == "9":
+                    assert row[at] == "EMERGENCY"
+                    row[at] = "Emergency"
+        return header, rows
+
+    cohort, ds = _dataset(_copy_demo(mimic_demo_dir, tmp_path, recase_subject_9))
+    admtypes = [name for name in ds.column_names if name.startswith("admtype_")]
+    assert admtypes == ["admtype_elective", "admtype_emergency", "admtype_urgent"]
+    assert _row(ds, cohort, "9")[ds.column_names.index("admtype_emergency")] == 1.0
 
 
 def test_schema_override_renames_columns(tmp_path, mimic_demo_dir):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from leakaudit.evaluation import (UndefinedAUROCError, auroc, confusion_matrix,
-                                  contamination_check, stratified_kfold, summarize)
+                                  contamination_check, stratified_holdout,
+                                  stratified_kfold, summarize)
 
 
 def brute_force_auroc(scores, labels):
@@ -71,6 +72,33 @@ def test_same_seed_same_plan():
     b = stratified_kfold(labels, 5, seed=9)
     assert a.folds == b.folds
     assert a.folds != stratified_kfold(labels, 5, seed=10).folds
+
+
+# --- stratified_holdout ------------------------------------------------
+
+# a singleton class (label 2) stays on the training side
+@example([0, 0, 0, 1, 1, 2], 0.5, 0)
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2), min_size=1, max_size=40), st.floats(0.01, 0.99),
+       st.integers(0, 2**32 - 1))
+def test_holdout_takes_a_clamped_share_of_each_class(labels, fraction, seed):
+    y = np.array(labels)
+    plan = stratified_holdout(y, fraction, seed)
+    assert plan.warnings == () and len(plan.folds) == 1
+    test = list(plan.folds[0])
+    train = sorted(set(range(len(y))) - set(test))
+    # distinct rows, sorted: the two sides are disjoint and cover every row
+    assert test == sorted(set(test)) and sorted(test + train) == list(range(len(y)))
+    for cls in np.unique(y):
+        n_c = int((y == cls).sum())
+        expected = 0 if n_c == 1 else min(max(round(fraction * n_c), 1), n_c - 1)
+        assert int((y[test] == cls).sum()) == expected
+    assert stratified_holdout(y, fraction, seed) == plan
+
+
+def test_holdout_seed_changes_the_split():
+    labels = np.array([0, 1] * 20)
+    assert stratified_holdout(labels, 0.3, 9) != stratified_holdout(labels, 0.3, 10)
 
 
 # --- auroc --------------------------------------------------------------

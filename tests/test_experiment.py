@@ -185,6 +185,21 @@ def test_render_orders_and_formats(tmp_path, cohort):
     assert "±" in md[2]
 
 
+@pytest.mark.parametrize("other, differs", [
+    (dict(folds=5, seed=9), "config"),
+    (dict(n_total=32), "dataset_fingerprint"),
+    (dict(setup=SETUP_AFTER), "reported more than once"),
+], ids=["config", "dataset", "duplicate-setup"])
+def test_reports_of_different_runs_are_not_merged(other, differs):
+    def report(setup=SETUP_NO_OVERSAMPLING, folds=3, seed=1, n_total=30):
+        ds = generate_cohort(SynthConfig(n_total=n_total, n_minority=6, seed=4))
+        return run_experiment(ds, RunConfig(setup=setup, folds=folds, master_seed=seed,
+                                            forest=ForestConfig(n_trees=2)))
+
+    with pytest.raises(ValueError, match=differs):
+        report_to_dict([report(setup=SETUP_AFTER), report(**other)])
+
+
 def test_render_empty_rejected(tmp_path):
     with pytest.raises(ValueError):
         render_report([], tmp_path)

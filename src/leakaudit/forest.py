@@ -2,19 +2,31 @@
 
 Axis-aligned trees, greedy Gini splits over a per-node random feature
 subset, bootstrap resampling per tree.  Scores are the mean over trees of
-the positive-class fraction in the reached leaf.  Per-tree seeds are
-derived from the forest seed by label, so training order or parallel
-scheduling cannot change the model.
+the positive-class fraction in the reached leaf.
+
+All trees grow together, one depth level per pass, as in presorted
+level-wise split search (SLIQ): each feature is ranked once, and a level's
+search is one argsort of (node, candidate, rank) keys followed by segmented
+cumulative sums of the Gini counts.  Tree t's bootstrap draw comes from
+``default_rng(derive_seed(seed, "tree", t))`` and is kept as per-row counts.
+A node's candidate features come from a counter-based key: a root's key is
+its tree's seed, a child's is mix(parent key, side), and the candidates are
+the ``mtry`` features with the smallest mix(key, feature).  Neither growth
+order nor scheduling can change the model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .seeding import derive_seed
 from .tabular import Column, Dataset
+
+# (instance, candidate) pairs per split-search pass; bounds the working set
+_PAIRS_PER_PASS = 4096
 
 
 @dataclass(frozen=True)
@@ -37,9 +49,9 @@ class ForestConfig:
             raise ValueError("mtry must be at least 1 (or None for floor(sqrt(p)))")
 
 
-@dataclass(frozen=True)
-class _Tree:
-    # feature < 0 marks a leaf; value is the leaf positive fraction
+class _Nodes(NamedTuple):
+    # a leaf has feature -1 and is its own left and right child; value is the
+    # node's positive fraction
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
@@ -49,86 +61,141 @@ class _Tree:
 
 @dataclass(frozen=True)
 class ForestModel:
-    trees: tuple[_Tree, ...]
+    nodes: _Nodes  # every tree's, tree t at offsets[t]:offsets[t + 1] with its root first
+    offsets: np.ndarray
     columns: tuple[Column, ...]
 
+    @property
+    def trees(self) -> tuple[_Nodes, ...]:
+        """Each tree's slice of ``nodes``; its children keep their forest-wide indices."""
+        return tuple(_Nodes(*(a[s:e] for a in self.nodes))
+                     for s, e in zip(self.offsets[:-1], self.offsets[1:]))
 
-def _best_split(x, y, candidates, min_leaf):
-    """Best (feature, threshold) among candidate features, or None.
 
-    Thresholds are midpoints between consecutive sorted unique values.
-    Cost is the size-weighted Gini impurity; the first candidate feature
-    achieving the strictly lowest cost wins, and within a feature the
-    lowest qualifying threshold wins, which keeps the search deterministic.
+def _mix(key: np.ndarray, salt: np.ndarray) -> np.ndarray:
+    """SplitMix64 finaliser of ``key + (salt + 1) * golden gamma``, on uint64 arrays."""
+    z = key + (salt + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _candidates(keys: np.ndarray, p: int, mtry: int) -> np.ndarray:
+    """Each node's ``mtry`` features with the smallest mix(key, feature), in hash order."""
+    if mtry == p:  # every feature, in index order: no draw
+        return np.broadcast_to(np.arange(p), (len(keys), p))
+    h = _mix(keys[:, None], np.arange(p, dtype=np.uint64))
+    return np.argsort(h, axis=1, kind="stable")[:, :mtry]
+
+
+def _split_pass(x, y, ranks, node, row, w, size, pos, keys, mtry, min_leaf):
+    """Per node, the first lowest-cost (feature, threshold); feature -1 if none.
+
+    Instances are grouped by ``node`` (0, 1, ...) and weigh ``w``.  Cost is
+    the size-weighted Gini, lp*(ln-lp)/ln + rp*(rn-rp)/rn, on exact integer
+    counts.  The first candidate with the strictly lowest cost wins, and
+    within it the lowest threshold: the midpoint of two consecutive values,
+    or the left one when the midpoint rounds up to the right one.
     """
-    n = len(y)
-    total_pos = y.sum()
-    left_n = np.arange(1, n)
-    right_n = n - left_n
-    sizes_ok = (left_n >= min_leaf) & (right_n >= min_leaf)
-    best_cost, best_feat, best_thr = np.inf, -1, 0.0
-    for f in candidates:
-        v = x[:, f]
-        order = np.argsort(v, kind="stable")
-        vs = v[order]
-        boundaries = (vs[:-1] < vs[1:]) & sizes_ok
-        if not boundaries.any():
-            continue
-        left_pos = np.cumsum(y[order])[:-1]
-        right_pos = total_pos - left_pos
-        # per-side pos*neg/size, proportional to the weighted Gini
-        cost = (left_pos * (left_n - left_pos) / left_n
-                + right_pos * (right_n - right_pos) / right_n)
-        cost[~boundaries] = np.inf
-        i = int(np.argmin(cost))
-        if cost[i] < best_cost:
-            thr = 0.5 * (vs[i] + vs[i + 1])
-            if thr >= vs[i + 1]:  # midpoint rounded up to the right value
-                thr = vs[i]
-            best_cost, best_feat, best_thr = float(cost[i]), int(f), float(thr)
-    if best_feat < 0:
-        return None
-    return best_feat, best_thr
+    n, p = x.shape
+    feats = _candidates(keys, p, mtry)[node]
+    key = ((node[:, None] * mtry + np.arange(mtry)) * n + ranks[row[:, None], feats]).ravel()
+    order = np.argsort(key)  # equal keys hold equal values
+    key, inst = key[order], order // mtry
+    seg = key // n  # (node, candidate) segment
+    ws = w[inst]
+    wys = ws * y[row[inst]]
+    cw, cp = np.cumsum(ws), np.cumsum(wys)
+    seg_len = np.repeat(np.bincount(node, minlength=len(keys)), mtry)
+    start = np.cumsum(seg_len) - seg_len
+    # a split point ends a run of equal ranks within its segment
+    v = np.flatnonzero((seg[:-1] == seg[1:]) & (key[:-1] != key[1:]))
+    sv = seg[v]
+    ln = cw[v] - (cw[start] - ws[start])[sv]
+    lp = cp[v] - (cp[start] - wys[start])[sv]
+    rn, rp = size[sv // mtry] - ln, pos[sv // mtry] - lp
+    ok = (ln >= min_leaf) & (rn >= min_leaf)
+    v, ln, lp, rn, rp = v[ok], ln[ok], lp[ok], rn[ok], rp[ok]
+    cost = np.full(len(key), np.inf)
+    cost[v] = lp * (ln - lp) / ln + rp * (rn - rp) / rn
+    lowest = np.minimum.reduceat(cost, start[::mtry])
+    hits = v[cost[v] == lowest[seg[v] // mtry]]
+    best = hits[np.diff(seg[hits] // mtry, prepend=-1) != 0]
+    f = feats.ravel()[order[best]]
+    lo, hi = x[row[inst[best]], f], x[row[inst[best + 1]], f]
+    thr = 0.5 * (lo + hi)
+    at = seg[best] // mtry
+    feature, threshold = np.full(len(keys), -1), np.zeros(len(keys))
+    feature[at], threshold[at] = f, np.where(thr >= hi, lo, thr)
+    return feature, threshold
 
 
-def _grow_tree(x, y, cfg: ForestConfig, mtry: int, rng) -> _Tree:
-    feature, threshold, left, right, value = [], [], [], [], []
+def _best_splits(x, y, ranks, node, row, w, size, pos, keys, mtry, min_leaf):
+    """Run ``_split_pass`` over passes of whole nodes.
 
-    def new_node():
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(0.0)
-        return len(feature) - 1
+    A pass holds at most ``_PAIRS_PER_PASS`` (instance, candidate) pairs,
+    unless one node alone has more.  Instances are grouped by ``node``.
+    """
+    first = np.concatenate(([0], np.cumsum(np.bincount(node, minlength=len(keys)))))
+    passes, a = [], 0
+    while a < len(keys):
+        b = max(a + 1, int(np.searchsorted(first, first[a] + _PAIRS_PER_PASS // mtry,
+                                           "right")) - 1)
+        i, j = first[a], first[b]
+        passes.append(_split_pass(x, y, ranks, node[i:j] - a, row[i:j], w[i:j], size[a:b],
+                                  pos[a:b], keys[a:b], mtry, min_leaf))
+        a = b
+    return [np.concatenate(z) for z in zip(*passes)]
 
-    p = x.shape[1]
-    stack = [(new_node(), np.arange(len(y)), 0)]
-    while stack:
-        node, idx, depth = stack.pop()
-        ys = y[idx]
-        pos = ys.sum()
-        value[node] = pos / len(ys)
-        pure = pos == 0 or pos == len(ys)
-        at_depth = cfg.max_depth is not None and depth >= cfg.max_depth
-        if pure or at_depth or len(ys) < 2 * cfg.min_leaf:
-            continue
-        candidates = rng.choice(p, size=mtry, replace=False) if mtry < p else np.arange(p)
-        split = _best_split(x[idx], ys, candidates, cfg.min_leaf)
-        if split is None:
-            continue
-        f, thr = split
-        go_left = x[idx, f] <= thr
-        feature[node], threshold[node] = f, thr
-        left[node] = new_node()
-        right[node] = new_node()
-        stack.append((right[node], idx[~go_left], depth + 1))
-        stack.append((left[node], idx[go_left], depth + 1))
-    return _Tree(feature=np.array(feature, dtype=np.int32),
-                 threshold=np.array(threshold, dtype=np.float64),
-                 left=np.array(left, dtype=np.int32),
-                 right=np.array(right, dtype=np.int32),
-                 value=np.array(value, dtype=np.float64))
+
+def _bootstrap(n: int, seeds: list[int], bootstrap: bool):
+    """(tree, row, count) for each row that tree's bootstrap draw holds."""
+    counts = np.stack([np.bincount(np.random.default_rng(s).integers(0, n, size=n), minlength=n)
+                       if bootstrap else np.ones(n, dtype=np.int64) for s in seeds])
+    tree, row = np.nonzero(counts)
+    return tree, row, counts[tree, row].astype(np.float64)
+
+
+def _grow_forest(x, y, cfg: ForestConfig, mtry: int):
+    """Grow every tree together, one depth level per pass.
+
+    An instance is a (tree, distinct bootstrap row) pair weighing the row's
+    count.  Returns each node's tree and the node arrays, in level order.
+    """
+    n, p = x.shape
+    ranks = np.empty((n, p), dtype=np.int32)
+    for f in range(p):
+        ranks[:, f] = np.unique(x[:, f], return_inverse=True)[1]
+    seeds = [derive_seed(cfg.seed, "tree", t) for t in range(cfg.n_trees)]
+    node, row, w = _bootstrap(n, seeds, cfg.bootstrap)
+    keys, node_tree = np.array(seeds, dtype=np.uint64), np.arange(cfg.n_trees)
+    levels, off, depth = [], 0, 0
+    while len(keys):
+        m = len(keys)
+        size = np.bincount(node, w, minlength=m)
+        pos = np.bincount(node, w * y[row], minlength=m)
+        split = (pos > 0) & (pos < size) & (size >= 2 * cfg.min_leaf)
+        split &= cfg.max_depth is None or depth < cfg.max_depth
+        feature, threshold = np.full(m, -1), np.zeros(m)
+        s = np.flatnonzero(split)
+        keep = split[node]
+        node, row, w = node[keep], row[keep], w[keep]
+        if s.size and p:  # with no feature, every node is a leaf
+            local = (np.cumsum(split) - 1)[node]
+            feature[s], threshold[s] = _best_splits(x, y, ranks, local, row, w, size[s],
+                                                    pos[s], keys[s], mtry, cfg.min_leaf)
+        has = feature >= 0
+        left = np.where(has, off + m + 2 * (np.cumsum(has) - 1), off + np.arange(m))
+        levels.append((node_tree, feature, threshold, left, left + has, pos / size))
+        keep = has[node]
+        node, row, w = node[keep], row[keep], w[keep]
+        child = left[node] - off - m + (x[row, feature[node]] > threshold[node])
+        order = np.argsort(child, kind="stable")
+        node, row, w = child[order], row[order], w[order]
+        keys = _mix(keys[has, None], np.arange(2, dtype=np.uint64)).ravel()
+        node_tree = np.repeat(node_tree[has], 2)
+        off, depth = off + m, depth + 1
+    return [np.concatenate(a) for a in zip(*levels)]
 
 
 def train_forest(ds: Dataset, rows, cfg: ForestConfig) -> ForestModel:
@@ -142,29 +209,16 @@ def train_forest(ds: Dataset, rows, cfg: ForestConfig) -> ForestModel:
         raise ValueError("training rows contain missing cells; impute first")
     p = x.shape[1]
     mtry = cfg.mtry if cfg.mtry is not None else max(1, int(np.sqrt(p)))
-    mtry = min(mtry, p)
-    trees = []
-    for t in range(cfg.n_trees):
-        rng = np.random.default_rng(derive_seed(cfg.seed, "tree", t))
-        if cfg.bootstrap:
-            sample = rng.integers(0, len(y), size=len(y))
-            trees.append(_grow_tree(x[sample], y[sample], cfg, mtry, rng))
-        else:
-            trees.append(_grow_tree(x, y, cfg, mtry, rng))
-    return ForestModel(trees=tuple(trees), columns=ds.columns)
-
-
-def _tree_scores(tree: _Tree, x: np.ndarray) -> np.ndarray:
-    node = np.zeros(len(x), dtype=np.int32)
-    arange = np.arange(len(x))
-    while True:
-        feat = tree.feature[node]
-        at_leaf = feat < 0
-        if at_leaf.all():
-            return tree.value[node]
-        go_left = x[arange, np.maximum(feat, 0)] <= tree.threshold[node]
-        nxt = np.where(go_left, tree.left[node], tree.right[node])
-        node = np.where(at_leaf, node, nxt)
+    node_tree, *nodes = _grow_forest(x, y, cfg, min(mtry, p))
+    # regroup the level-ordered nodes by tree and renumber the children to match
+    order = np.argsort(node_tree, kind="stable")
+    new_index = np.argsort(order)
+    feature, threshold, left, right, value = (a[order] for a in nodes)
+    offsets = np.searchsorted(node_tree[order], np.arange(cfg.n_trees + 1))
+    return ForestModel(_Nodes(feature.astype(np.int32), threshold,
+                              new_index[left].astype(np.int32),
+                              new_index[right].astype(np.int32), value),
+                       offsets.astype(np.int32), ds.columns)
 
 
 def predict_proba(model: ForestModel, ds: Dataset, rows) -> np.ndarray:
@@ -177,10 +231,15 @@ def predict_proba(model: ForestModel, ds: Dataset, rows) -> np.ndarray:
         raise ValueError("evaluation rows contain missing cells; impute first")
     if rows.size == 0:
         return np.zeros(0)
-    scores = np.zeros(len(x))
-    for tree in model.trees:
-        scores += _tree_scores(tree, x)
-    return scores / len(model.trees)
+    # walk every tree at once; a leaf is its own child, so a row that reached one stays
+    nodes = model.nodes
+    node = np.repeat(model.offsets[:-1, None], len(x), axis=1)
+    col = np.arange(len(x))
+    while (nodes.feature[node] >= 0).any():
+        go_left = x[col, np.maximum(nodes.feature[node], 0)] <= nodes.threshold[node]
+        node = np.where(go_left, nodes.left[node], nodes.right[node])
+    # a sum along the slow axis adds the trees one by one, in tree order (no pairwise sum)
+    return nodes.value[node].sum(axis=0) / len(node)
 
 
 def majority_baseline(labels) -> dict:

@@ -95,13 +95,13 @@ def adasyn(ds: Dataset, rows, cfg: AdasynConfig) -> Dataset:
     # one neighbour search per seed: its K nearest rows give its weight (their
     # majority share), its K nearest minority rows its interpolation partners
     nearest = np.empty((m_s, k_all), dtype=np.intp)
-    partners = []
+    partners = np.empty((m_s, k_min), dtype=np.intp)
     for i, mi in enumerate(minority_idx):
         d = np.linalg.norm(x - x[mi], axis=1)
         d[mi] = np.inf  # never pick the seed itself
         order = np.argsort(d, kind="stable")  # ties go to the lower row
         nearest[i] = order[:k_all]
-        partners.append(order[is_min[order]][:k_min])
+        partners[i] = order[is_min[order]][:k_min]
     r = (~is_min[nearest]).sum(axis=1) / k
     if r.sum() > 0:
         weights = r / r.sum()
@@ -110,17 +110,15 @@ def adasyn(ds: Dataset, rows, cfg: AdasynConfig) -> Dataset:
         weights = np.full(m_s, 1.0 / m_s)
     g_counts = allocate_counts(weights, g_total)
 
-    # the draw order fixes the output: per seed in order, per sample, a partner then a lambda
+    # the draw order fixes the output: every sample's partner pick, then every lambda
     rng = np.random.default_rng(cfg.seed)
-    partner_rows, lam = [], []
-    for i in np.repeat(np.arange(m_s), g_counts):
-        partner_rows.append(partners[i][rng.integers(len(partners[i]))])
-        lam.append(rng.random())
-    seed_rows = np.repeat(minority_idx, g_counts)
-    partner_rows = np.array(partner_rows)
+    seed_of = np.repeat(np.arange(m_s), g_counts)
+    partner_rows = partners[seed_of, rng.integers(0, k_min, size=g_total)]
+    lam = rng.random(g_total)
+    seed_rows = minority_idx[seed_of]
     # seed + lam * (partner - seed), in place to spare three (G, p) temporaries
     samples = x[partner_rows] - x[seed_rows]
-    samples *= np.array(lam)[:, None]
+    samples *= lam[:, None]
     samples += x[seed_rows]
     binary_cols = np.array([c.kind == BINARY for c in ds.columns], dtype=bool)
     samples[:, binary_cols] = samples[:, binary_cols] >= 0.5

@@ -48,8 +48,9 @@ def _integers(values, name: str) -> np.ndarray:
 class Dataset:
     """Immutable feature matrix with labels and parent lineage.
 
-    Invariants are checked on construction: consistent shapes, labels in
-    {0,1}, binary columns containing only {0,1} or NaN, both parents or none.
+    Invariants are checked on construction: consistent shapes, distinct
+    column names, labels in {0,1}, binary columns containing only {0,1} or
+    NaN, both parents or none.
     """
 
     columns: tuple[Column, ...]
@@ -70,6 +71,10 @@ class Dataset:
         n, p = x.shape
         if len(self.columns) != p:
             raise ValueError(f"{len(self.columns)} columns declared for {p}-wide matrix")
+        names = [c.name for c in self.columns]
+        if len(set(names)) < p:
+            repeated = next(nm for j, nm in enumerate(names) if nm in names[:j])
+            raise ValueError(f"column name {repeated!r} appears more than once")
         if y.shape != (n,):
             raise ValueError("label vector length does not match row count")
         if parents.shape != (n, 2):
@@ -224,9 +229,9 @@ def read_dataset(csv_path) -> Dataset:
 
     Column kinds come from the JSON sidecar when present; without one, a
     column whose observed values are all 0/1 is treated as binary.  Every
-    row is original.  A feature cell that is not a finite number,
-    or a label other than 0/1, is rejected with its file, row and column; a
-    malformed sidecar is rejected naming the sidecar.
+    row is original.  A repeated header name, a feature cell that is not a
+    finite number, or a label other than 0/1, is rejected with its file, row
+    and column; a malformed sidecar is rejected naming the sidecar.
     """
     csv_path = Path(csv_path)
     if not csv_path.exists():
@@ -240,6 +245,10 @@ def read_dataset(csv_path) -> Dataset:
         rows = list(reader)
     if not header or header[-1] != LABEL_COLUMN:
         raise ValueError(f"{csv_path}: last column must be {LABEL_COLUMN!r}")
+    for j, name in enumerate(header):
+        if name in header[:j]:
+            raise ValueError(f"{csv_path}: row 1 (the header), column {j + 1}: "
+                             f"name {name!r} repeats column {header.index(name) + 1}")
     names = header[:-1]
     n, p = len(rows), len(names)
     x = np.full((n, p), np.nan)

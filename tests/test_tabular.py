@@ -35,6 +35,12 @@ def test_dataset_shape_mismatch():
                 y=np.zeros(2, dtype=int))
 
 
+def test_dataset_rejects_a_repeated_column_name():
+    columns = (Column("a", NUMERIC), Column("b", NUMERIC), Column("a", BINARY))
+    with pytest.raises(ValueError, match="^column name 'a' appears more than once$"):
+        Dataset(columns=columns, x=np.zeros((2, 3)), y=np.zeros(2, dtype=int))
+
+
 @pytest.mark.parametrize("parents, match", [
     (np.full((3, 1), -1), r"\(3, 2\) array"),
     (np.full((2, 2), -1), r"\(3, 2\) array"),
@@ -196,6 +202,20 @@ def test_read_rejects_bad_cell_naming_file_row_column(tmp_path, bad_row, message
     with pytest.raises(ValueError) as err:
         read_dataset(path)
     assert str(err.value) == f"{path}: row 3, {message}"
+
+
+@pytest.mark.parametrize("header, message", [
+    ("a,a,label", "column 2: name 'a' repeats column 1"),
+    ("a,b,a,label", "column 3: name 'a' repeats column 1"),
+    ("label,label", "column 2: name 'label' repeats column 1"),
+], ids=["adjacent", "apart", "label"])
+def test_read_rejects_a_repeated_header_name(tmp_path, header, message):
+    path = tmp_path / "dup.csv"
+    width = header.count(",") + 1
+    path.write_text(f"{header}\n" + ",".join(["0"] * width) + "\n")
+    with pytest.raises(ValueError) as err:
+        read_dataset(path)
+    assert str(err.value) == f"{path}: row 1 (the header), {message}"
 
 
 @pytest.mark.parametrize("sidecar, message", [

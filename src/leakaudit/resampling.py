@@ -5,10 +5,11 @@ by the fraction of majority points among its K nearest neighbors, the
 total synthetic budget G = round(beta * (majority - minority)) is split
 across seeds by largest remainder so the counts are exact, and each
 synthetic sample is a uniform interpolation between a seed and one of its
-K nearest minority neighbors.  One neighbour search per seed (a stable sort
-of its distances to every selected row, ties going to the lower row) feeds
-both its weight and its partners.  Generated rows record their two parents,
-so downstream contamination checks can find them and trace them back.
+K nearest minority neighbors.  One distance vector per seed feeds both its
+weight and its partners; each is picked by partial selection (the K smallest
+distances, in order, ties going to the lower row), which returns what a
+stable sort would.  Generated rows record their two parents, so downstream
+contamination checks can find them and trace them back.
 """
 
 from __future__ import annotations
@@ -53,9 +54,33 @@ def allocate_counts(weights, total: int) -> np.ndarray:
     if short > 0:
         remainders = raw - counts
         # stable sort on negated remainders: ties resolve to the lower index
-        for i in np.argsort(-remainders, kind="stable")[:short]:
-            counts[i] += 1
+        counts[np.argsort(-remainders, kind="stable")[:short]] += 1
     return counts
+
+
+def _distances(x: np.ndarray, i) -> np.ndarray:
+    """Euclidean distance from row ``i`` of ``x`` to every row.
+
+    The same sum as ``np.linalg.norm(x - x[i], axis=1)`` on real rows, so the
+    same bits, without its extra temporaries; the difference matrix is freed
+    on return.
+    """
+    diff = x - x[i]
+    diff *= diff
+    return np.sqrt(np.add.reduce(diff, axis=1))
+
+
+def _smallest(d: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the ``k`` smallest entries of ``d``, in stable-argsort order.
+
+    Only entries up to the k-th smallest value are sorted, so ties at that
+    value still go to the lower index.  ``~(d > kth)`` also keeps NaN entries
+    (from infinite cells), which sort last: when the k-th value is NaN, every
+    entry is kept, as in a full sort.
+    """
+    kth = np.partition(d, k - 1)[k - 1]
+    cand = np.flatnonzero(~(d > kth))
+    return cand[np.argsort(d[cand], kind="stable")[:k]]
 
 
 def adasyn(ds: Dataset, rows, cfg: AdasynConfig) -> Dataset:
@@ -97,11 +122,10 @@ def adasyn(ds: Dataset, rows, cfg: AdasynConfig) -> Dataset:
     nearest = np.empty((m_s, k_all), dtype=np.intp)
     partners = np.empty((m_s, k_min), dtype=np.intp)
     for i, mi in enumerate(minority_idx):
-        d = np.linalg.norm(x - x[mi], axis=1)
+        d = _distances(x, mi)
         d[mi] = np.inf  # never pick the seed itself
-        order = np.argsort(d, kind="stable")  # ties go to the lower row
-        nearest[i] = order[:k_all]
-        partners[i] = order[is_min[order]][:k_min]
+        nearest[i] = _smallest(d, k_all)
+        partners[i] = minority_idx[_smallest(d[minority_idx], k_min)]
     r = (~is_min[nearest]).sum(axis=1) / k
     if r.sum() > 0:
         weights = r / r.sum()

@@ -229,7 +229,8 @@ def tie_heavy_case(draw):
     binary columns, and a row subset holding both classes, sometimes with a
     lone minority row."""
     n = draw(st.integers(2, 60))
-    p = draw(st.integers(1, 3))
+    # p >= 9 reaches numpy's 8-lane pairwise sum, and 20 is the benchmark's width
+    p = draw(st.integers(1, 24))
     kinds = draw(st.lists(st.sampled_from([NUMERIC, BINARY]), min_size=p, max_size=p))
     cells = draw(st.sampled_from([st.integers(-2, 2).map(float), st.floats(-100, 100)]))
     pool = draw(arrays(np.float64, (draw(st.integers(1, n)), p), elements=cells))
@@ -259,6 +260,48 @@ def test_adasyn_matches_the_two_pass_reference_bitwise(data, k, beta, seed):
     out, ref = adasyn(ds, rows, cfg), reference_adasyn(ds, rows, cfg)
     assert out.x.tobytes() == ref.x.tobytes()
     np.testing.assert_array_equal(out.y, ref.y)
+    np.testing.assert_array_equal(out.parents, ref.parents)
+
+
+def _ties_case(extra_majority):
+    """Seed A, the last row, sits at 0.  Rows 0-39 are all at distance 1
+    from it: minority rows at -1 and majority rows at 1, two of each in turn
+    (0 and 1 minority, 2 and 3 majority, ...).  Minority row 40 sits at -0.5,
+    closer but later; the rows after it are majority.  With K = 3, A's K-th
+    distance ties over 40 rows."""
+    tied_minority = np.arange(40) % 4 < 2
+    x = np.concatenate([np.where(tied_minority, -1.0, 1.0), [-0.5], extra_majority, [0.0]])
+    y = np.zeros(len(x), dtype=int)
+    y[:40], y[40], y[-1] = tied_minority, 1, 1
+    out = adasyn(make_dataset(x, y), range(len(x)), AdasynConfig(k_neighbors=3, seed=4))
+    return len(x) - 1, out.parents[len(x):].T
+
+
+def test_ties_at_the_kth_distance_go_to_the_lowest_rows():
+    # a smaller distance after the tied ones is what an unstable sort reorders
+    a, (seeds, _) = _ties_case(np.full(30, 1000.0))
+    # nearest: A's are rows 40, 0 and 1, all minority, as every other seed's
+    # are, so no seed has a majority neighbour and the weights are uniform
+    minority = np.r_[np.flatnonzero(np.arange(40) % 4 < 2), 40, a]
+    counts = np.bincount(seeds, minlength=a + 1)[minority]
+    np.testing.assert_array_equal(counts, [2] * 6 + [1] * 16)  # G = 50 - 22
+
+    # majority rows at 0.1 give A, alone, majority neighbours: every sample is A's
+    a, (seeds, partners) = _ties_case(np.r_[[0.1] * 3, [1000.0] * 40])
+    assert (seeds == a).all() and len(seeds) == 41
+    # partners: A's three nearest minority rows are 40, 0 and 1
+    assert set(partners) == {0, 1, 40}
+
+
+def test_infinite_cells_match_the_full_sort():
+    # inf - inf gives NaN distances, which a full sort puts last
+    x = np.array([[0.0, np.inf], [1.0, np.inf], [2.0, 0.0], [3.0, np.inf],
+                  [4.0, 1.0], [5.0, 2.0], [6.0, np.inf], [7.0, 0.0]])
+    ds = make_dataset(x, [1, 1, 0, 1, 0, 0, 0, 0])
+    cfg = AdasynConfig(k_neighbors=3, seed=8)
+    with np.errstate(invalid="ignore"):
+        out, ref = adasyn(ds, range(8), cfg), reference_adasyn(ds, range(8), cfg)
+    np.testing.assert_array_equal(out.x, ref.x)
     np.testing.assert_array_equal(out.parents, ref.parents)
 
 

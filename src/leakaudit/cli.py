@@ -35,7 +35,7 @@ _RUN_FLAGS = {
 }
 
 # --setup value -> setup name
-_SETUP_ALIASES = {flag: name for name, (flag, _) in SETUPS.items()}
+_SETUP_ALIASES = {setup.flag: name for name, setup in SETUPS.items()}
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -1,24 +1,21 @@
 """The three cross-validated setups and the leaky 70/30 holdout.
 
-Setups, on the same dataset and derived seeds:
+A setup is one preparation step placed before or after the split.  Each
+entry of :data:`SETUPS`, the one table of setups (in report order), names its
+``--setup`` value and ``report.md`` label, a step run on every row before
+the split, a step run on each split's training rows after it, and its split
+kind: k stratified folds, or the stratified holdout's one split.  A step,
+:func:`_impute` or :func:`_impute_and_oversample`, fits the imputer on the
+rows it is given and oversamples only those.  Setups (i) and (ii) place
+theirs after the split, the correct pipeline; (iii) and the holdout place
+impute-and-oversample before it, so the test rows feed the fill values and
+parent synthetic training rows: the leak under audit.
 
-* ``after_partitioning``  - fold first; fit the imputer on the training
-  rows only, oversample the imputed training rows only, score the
-  untouched test fold (the correct pipeline);
-* ``no_oversampling``     - same, minus oversampling;
-* ``before_partitioning`` - impute and oversample the entire dataset,
-  then fold the augmented data (the leaky pipeline under audit);
-* ``leaky_holdout``       - impute and oversample everything, then take a
-  single stratified holdout split (the balance-then-split mistake).
-
-:data:`SETUPS`, their one table, gives each its ``--setup`` value and
-``report.md`` label, in report order.  All four run through one loop in
-:func:`run_experiment`.  Each repeat (1) imputes and oversamples every row
-when the setup leaks, (2) plans its splits - k stratified folds, or the
-stratified holdout's one - and (3) trains and scores every split the same
-way.  A split whose test side holds one class, or whose training rows cannot
-be imputed, oversampled or trained on, is listed in ``skipped`` and the run
-carries on; so is a repeat whose all-row preparation or split plan fails.
+All four run one path, :func:`_splits`, which :func:`run_experiment` trains
+and scores.  A split whose test side holds one class, or whose training
+rows cannot be imputed, oversampled or trained on, is listed in ``skipped``
+and the run carries on; so is a repeat whose before-split step or split plan
+fails.
 
 Every stochastic choice is seeded from ``master_seed`` through labeled
 derivation, so identical configs give identical reports and the setups
@@ -28,8 +25,10 @@ share fold plans wherever their shapes allow.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,13 +44,38 @@ SETUP_NO_OVERSAMPLING = "no_oversampling"
 SETUP_BEFORE = "before_partitioning"
 SETUP_LEAKY_HOLDOUT = "leaky_holdout"
 
-# setup name -> (its ``--setup`` value, its report.md label); this order is
-# the report's: the three CV setups, then the holdout
-SETUPS = {
-    SETUP_AFTER: ("i", "(i) imputation + oversampling after partitioning"),
-    SETUP_NO_OVERSAMPLING: ("ii", "(ii) no oversampling"),
-    SETUP_BEFORE: ("iii", "(iii) imputation + oversampling before partitioning"),
-    SETUP_LEAKY_HOLDOUT: ("holdout", "leaky 70/30 holdout (balanced before splitting)"),
+
+class Setup(NamedTuple):
+    flag: str  # its --setup value
+    label: str  # its report.md row
+    # steps, (ds, rows, cfg, *seed label) -> (train_ds, train_rows, eval_ds):
+    before: Callable | None  # run on every row, before the split
+    after: Callable | None  # run on each split's training rows
+    holdout: bool = False  # one stratified holdout split, not k folds
+
+
+def _impute(ds: Dataset, rows, cfg: RunConfig, *label):
+    """Fill every row with the imputer fitted on ``rows``."""
+    imputed = apply_imputer(ds, fit_imputer(ds, rows))
+    return imputed, rows, imputed
+
+
+def _impute_and_oversample(ds: Dataset, rows, cfg: RunConfig, *label):
+    """:func:`_impute`, then train on ADASYN's output over ``rows``."""
+    imputed, rows, _ = _impute(ds, rows, cfg)
+    train_ds = adasyn(imputed, rows, replace(
+        cfg.adasyn, seed=derive_seed(cfg.master_seed, "adasyn", *label)))
+    return train_ds, np.arange(train_ds.n_rows), imputed
+
+
+SETUPS = {  # in report order
+    SETUP_AFTER: Setup("i", "(i) imputation + oversampling after partitioning",
+                       None, _impute_and_oversample),
+    SETUP_NO_OVERSAMPLING: Setup("ii", "(ii) no oversampling", None, _impute),
+    SETUP_BEFORE: Setup("iii", "(iii) imputation + oversampling before partitioning",
+                        _impute_and_oversample, None),
+    SETUP_LEAKY_HOLDOUT: Setup("holdout", "leaky 70/30 holdout (balanced before splitting)",
+                               _impute_and_oversample, None, holdout=True),
 }
 ALL_SETUPS = tuple(SETUPS)
 
@@ -113,26 +137,15 @@ def _check_input(ds: Dataset) -> None:
         raise ValueError("both classes must be present")
 
 
-def run_experiment(ds: Dataset, cfg: RunConfig) -> ExperimentReport:
-    """Run the setup named by ``cfg.setup``; splits that cannot be scored are skipped."""
-    _check_input(ds)
-    original_counts = ds.class_counts()
-    all_rows = np.arange(ds.n_rows)
-    holdout = cfg.setup == SETUP_LEAKY_HOLDOUT
-    leaky = cfg.setup in (SETUP_BEFORE, SETUP_LEAKY_HOLDOUT)
-
-    results: list[FoldResult] = []
-    skipped: list[str] = []
+def _splits(ds: Dataset, cfg: RunConfig, setup: Setup, skipped: list[str]):
+    """Prepare ``setup``'s splits of ``ds`` in run order: yield ``(r, f, where, test,
+    train_ds, train_rows, eval_ds)`` for each split ready to train, and list
+    each split or repeat that cannot be prepared in ``skipped``."""
     for r in range(cfg.repeats):
-        work = ds
         try:
-            if leaky:
-                # leak on purpose: fit statistics and oversample on every row
-                imputed = apply_imputer(ds, fit_imputer(ds, all_rows))
-                work = adasyn(imputed, all_rows, replace(
-                    cfg.adasyn, seed=derive_seed(cfg.master_seed, "adasyn", r)))
+            work = setup.before(ds, np.arange(ds.n_rows), cfg, r)[0] if setup.before else ds
             plan = (stratified_holdout(work.y, cfg.holdout_test_fraction,
-                                       derive_seed(cfg.master_seed, "holdout", r)) if holdout
+                                       derive_seed(cfg.master_seed, "holdout", r)) if setup.holdout
                     else stratified_kfold(work.y, cfg.folds,
                                           derive_seed(cfg.master_seed, "folds", r)))
         except ValueError as exc:
@@ -141,37 +154,44 @@ def run_experiment(ds: Dataset, cfg: RunConfig) -> ExperimentReport:
         skipped.extend(f"repeat {r}: {w}" for w in plan.warnings)
 
         for f, test in enumerate(plan.folds):
-            where = f"repeat {r}" if holdout else f"repeat {r} fold {f}"
+            where = f"repeat {r}" if setup.holdout else f"repeat {r} fold {f}"
             test = np.asarray(test, dtype=np.intp)
             test_y = work.y[test]
             if (test_y == 0).all() or (test_y == 1).all():
-                side = "side" if holdout else "fold"
+                side = "side" if setup.holdout else "fold"
                 skipped.append(f"{where}: AUROC undefined (single-class test {side})")
                 continue
             train = np.setdiff1d(np.arange(work.n_rows), test)
-            train_ds = eval_ds = work
             try:
-                if not leaky:
-                    # the correct pipeline: statistics and synthetic rows from training rows only
-                    train_ds = eval_ds = apply_imputer(ds, fit_imputer(ds, train))
-                    if cfg.setup == SETUP_AFTER:
-                        train_ds = adasyn(eval_ds, train, replace(
-                            cfg.adasyn, seed=derive_seed(cfg.master_seed, "adasyn", r, f)))
-                        train = np.arange(train_ds.n_rows)
-                model = train_forest(train_ds, train, replace(
-                    cfg.forest, seed=derive_seed(cfg.master_seed, "forest", r, f)))
+                split = setup.after(work, train, cfg, r, f) if setup.after else (work, train, work)
             except ValueError as exc:
                 skipped.append(f"{where}: {exc}")
                 continue
-            scores = predict_proba(model, eval_ds, test)
-            results.append(FoldResult(
-                auroc=auroc(scores, test_y),
-                confusion=confusion_matrix(scores, test_y),
-                contamination=contamination_check(eval_ds.synthetic[test], test_y,
-                                                  original_counts),
-                fold=f,
-                repeat=r,
-            ))
+            yield (r, f, where, test, *split)
+
+
+def run_experiment(ds: Dataset, cfg: RunConfig) -> ExperimentReport:
+    """Run the setup named by ``cfg.setup``; splits that cannot be scored are skipped."""
+    _check_input(ds)
+    results: list[FoldResult] = []
+    skipped: list[str] = []
+    for r, f, where, test, train_ds, train, eval_ds in _splits(ds, cfg, SETUPS[cfg.setup],
+                                                               skipped):
+        try:
+            model = train_forest(train_ds, train, replace(
+                cfg.forest, seed=derive_seed(cfg.master_seed, "forest", r, f)))
+        except ValueError as exc:
+            skipped.append(f"{where}: {exc}")
+            continue
+        scores = predict_proba(model, eval_ds, test)
+        test_y = eval_ds.y[test]
+        results.append(FoldResult(
+            auroc=auroc(scores, test_y),
+            confusion=confusion_matrix(scores, test_y),
+            contamination=contamination_check(eval_ds.synthetic[test], test_y, ds.class_counts()),
+            fold=f,
+            repeat=r,
+        ))
 
     stats = summarize([r.auroc for r in results]) if results else {"mean": None, "std": None}
     return ExperimentReport(
@@ -228,9 +248,11 @@ def _check_payload(payload) -> None:
                 raise ValueError(f"setup entry {i} has no {key!r}")
         if not isinstance(s["name"], str):
             raise ValueError(f"setup entry {i} has a name that is not a string")
+        # bool is an int subclass, and json reads NaN and Infinity as floats
         if s["mean_auroc"] is not None and not all(
-                isinstance(s[key], (int, float)) for key in ("mean_auroc", "std_auroc")):
-            raise ValueError(f"setup entry {i} has an AUROC that is not a number")
+                type(s[key]) in (int, float) and math.isfinite(s[key])
+                for key in ("mean_auroc", "std_auroc")):
+            raise ValueError(f"setup entry {i} has an AUROC that is not a finite number")
 
 
 def render_payload(payload: dict, out_dir) -> dict:
@@ -249,7 +271,7 @@ def render_payload(payload: dict, out_dir) -> dict:
 
     lines = ["| Method | AUROC (in %) |", "| --- | --- |"]
     for s in payload["setups"]:
-        label = SETUPS[s["name"]][1] if s["name"] in SETUPS else s["name"]
+        label = SETUPS[s["name"]].label if s["name"] in SETUPS else s["name"]
         lines.append(f"| {label} | {_format_pct(s['mean_auroc'], s['std_auroc'])} |")
     md_path = out_dir / "report.md"
     md_path.write_text("\n".join(lines) + "\n")

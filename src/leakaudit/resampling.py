@@ -74,12 +74,10 @@ def _smallest(d: np.ndarray, k: int) -> np.ndarray:
     """Indices of the ``k`` smallest entries of ``d``, in stable-argsort order.
 
     Only entries up to the k-th smallest value are sorted, so ties at that
-    value still go to the lower index.  ``~(d > kth)`` also keeps NaN entries
-    (from infinite cells), which sort last: when the k-th value is NaN, every
-    entry is kept, as in a full sort.
+    value still go to the lower index.
     """
     kth = np.partition(d, k - 1)[k - 1]
-    cand = np.flatnonzero(~(d > kth))
+    cand = np.flatnonzero(d <= kth)
     return cand[np.argsort(d[cand], kind="stable")[:k]]
 
 

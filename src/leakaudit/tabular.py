@@ -49,8 +49,8 @@ class Dataset:
     """Immutable feature matrix with labels and parent lineage.
 
     Invariants are checked on construction: consistent shapes, distinct
-    column names, labels in {0,1}, binary columns containing only {0,1} or
-    NaN, both parents or none.
+    column names, no infinite cell, labels in {0,1}, binary columns
+    containing only {0,1} or NaN, both parents or none.
     """
 
     columns: tuple[Column, ...]
@@ -75,6 +75,9 @@ class Dataset:
         if len(set(names)) < p:
             repeated = next(nm for j, nm in enumerate(names) if nm in names[:j])
             raise ValueError(f"column name {repeated!r} appears more than once")
+        infinite = np.isinf(x).any(axis=0)
+        if infinite.any():
+            raise ValueError(f"column {names[infinite.argmax()]!r} has an infinite cell")
         if y.shape != (n,):
             raise ValueError("label vector length does not match row count")
         if parents.shape != (n, 2):

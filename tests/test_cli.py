@@ -213,6 +213,10 @@ def test_report_rerender_roundtrip(tmp_path):
     '"std_auroc": null}]}',
     '{"config": {}, "dataset_fingerprint": {}, "setups": [{"name": "x", "mean_auroc": 0.5, '
     '"std_auroc": null}]}',
+    '{"config": {}, "dataset_fingerprint": {}, "setups": [{"name": "x", "mean_auroc": true, '
+    '"std_auroc": false}]}',
+    '{"config": {}, "dataset_fingerprint": {}, "setups": [{"name": "x", "mean_auroc": NaN, '
+    '"std_auroc": 0}]}',
 ])
 def test_report_rejects_malformed_payload(text, tmp_path, capsys):
     src = tmp_path / "in.json"

@@ -293,16 +293,13 @@ def test_ties_at_the_kth_distance_go_to_the_lowest_rows():
     assert set(partners) == {0, 1, 40}
 
 
-def test_infinite_cells_match_the_full_sort():
-    # inf - inf gives NaN distances, which a full sort puts last
+def test_infinite_cells_are_refused_before_adasyn():
+    # inf - inf would give NaN distances and NaN synthetic cells; no dataset holds one
     x = np.array([[0.0, np.inf], [1.0, np.inf], [2.0, 0.0], [3.0, np.inf],
                   [4.0, 1.0], [5.0, 2.0], [6.0, np.inf], [7.0, 0.0]])
-    ds = make_dataset(x, [1, 1, 0, 1, 0, 0, 0, 0])
-    cfg = AdasynConfig(k_neighbors=3, seed=8)
-    with np.errstate(invalid="ignore"):
-        out, ref = adasyn(ds, range(8), cfg), reference_adasyn(ds, range(8), cfg)
-    np.testing.assert_array_equal(out.x, ref.x)
-    np.testing.assert_array_equal(out.parents, ref.parents)
+    for cells in (x, -x):
+        with pytest.raises(ValueError, match="column 'f1' has an infinite cell"):
+            make_dataset(cells, [1, 1, 0, 1, 0, 0, 0, 0])
 
 
 def test_binary_cells_thresholded_to_parent_value():

@@ -1,8 +1,8 @@
 """Desk-scale audit of data leakage from oversampling and imputation placed
 before the train/test partition in imbalanced clinical classification."""
 
-from .cohort_etl import (CohortConfig, CohortTable, RawTables, build_dataset,
-                         extract_cohort, label_los, load_tables)
+from .cohort_etl import (CohortConfig, RawTables, build_dataset, extract_cohort,
+                         label_los, load_tables)
 from .evaluation import (ContaminationReport, FoldPlan, FoldResult,
                          UndefinedAUROCError, auroc, confusion_matrix,
                          contamination_check, stratified_kfold, summarize)
@@ -18,7 +18,7 @@ from .tabular import (BINARY, Column, Dataset, ImputerModel, NUMERIC, apply_impu
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdasynConfig", "BINARY", "CohortConfig", "CohortTable", "Column",
+    "AdasynConfig", "BINARY", "CohortConfig", "Column",
     "ContaminationReport", "Dataset", "ExperimentReport", "FoldPlan",
     "FoldResult", "ForestConfig", "ForestModel", "ImputerModel", "NUMERIC",
     "RawTables", "RunConfig", "SETUP_AFTER", "SETUP_BEFORE",

@@ -17,20 +17,22 @@ The per-stay length of stay, binarized at a configurable threshold,
 is the prediction target.
 
 A table needs only the columns of :data:`DEFAULT_SCHEMA`, the ones
-extraction reads; any other column is ignored.  The tables are read in two
-passes.  Pass 1, :func:`load_tables`, reads ADMISSIONS, ICUSTAYS,
-DIAGNOSES_ICD and PATIENTS into row dicts, from which :func:`extract_cohort`
-fixes the cohort; of PRESCRIPTIONS and CHARTEVENTS it only checks the file
-and header.  Pass 2, :func:`build_dataset`, streams each event table once
-and keeps, for cohort subjects only, a flag per medication key and the
-values of each lab key.  Memory is thus bounded by the cohort (and the four
-small tables), not by the number of events.
+extraction reads; any other column is ignored.  Each table's columns are
+resolved once from its header, and one ``csv.reader`` loop reads every table.
+Pass 1, :func:`load_tables`, reads ADMISSIONS, ICUSTAYS, DIAGNOSES_ICD and
+PATIENTS into row dicts, from which :func:`extract_cohort` fixes the cohort;
+of PRESCRIPTIONS and CHARTEVENTS it only checks the file and header.  Pass 2,
+:func:`build_dataset`, streams each event table once and tests each row's
+subject cell before anything else is built, keeping, for cohort subjects
+only, a flag per medication key and the values of each lab key.  Memory is
+thus bounded by the cohort (and the four small tables), not by the number of
+events.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
 
@@ -129,41 +131,26 @@ class CohortRow:
     admission_type: str
 
 
-@dataclass(frozen=True)
-class CohortTable:
-    rows: list[CohortRow] = field(default_factory=list)
-
-    def subject_ids(self) -> list[str]:
-        return [r.subject_id for r in self.rows]
-
-
 def _parse_float(cell: str) -> float | None:
     try:
         v = float(cell)
-    except (TypeError, ValueError):
+    except ValueError:
         return None
     return v if np.isfinite(v) else None
 
 
 def _parse_time(cell: str) -> datetime | None:
-    if not cell:
-        return None
     try:
-        return datetime.fromisoformat(cell.strip())
+        return datetime.fromisoformat(cell)
     except ValueError:
         return None
 
 
-def _parse_flag(cell: str) -> int:
-    v = _parse_float(cell)
-    return 1 if v == 1 else 0
-
-
-# The cells that extraction reads as times, flags or numbers; every other
-# cell stays a stripped string.
+# The cells that extraction reads as times or numbers; every other cell
+# stays a stripped string.
 _PARSERS = {
     "admit_time": _parse_time,
-    "expire_flag": _parse_flag,
+    "expire_flag": _parse_float,
     "in_time": _parse_time,
     "out_time": _parse_time,
     "los": _parse_float,
@@ -175,28 +162,44 @@ _PARSERS = {
 _STREAMED = ("prescriptions", "chartevents")
 
 
-def _check_table(directory: Path, table: str, colmap: dict) -> None:
-    """Fail unless the table's file exists and its header has every column."""
+def _columns(directory: Path, table: str, colmap: dict) -> tuple[Path, dict[str, int]]:
+    """The table's file and each field's column position, read from its header.
+
+    Fails unless the file exists and the header names every column; a
+    repeated name resolves to its last position.
+    """
     path = directory / colmap["file"]
-    if not path.exists():
+    if not path.is_file():
         raise FileNotFoundError(f"{table.upper()}: file {colmap['file']!r} not found in {directory}")
     with open(path, newline="") as fh:
         header = next(csv.reader(fh), [])
-    for key, column in colmap.items():
-        if key != "file" and column not in header:
-            raise ValueError(f"{table.upper()}: column {column!r} not found")
-
-
-def _read_rows(directory: Path, colmap: dict):
-    """Yield one dict per CSV row, keyed by canonical field name."""
+    position = {column: j for j, column in enumerate(header)}
     fields = {key: column for key, column in colmap.items() if key != "file"}
-    parsers = {key: _PARSERS[key] for key in fields if key in _PARSERS}
-    with open(directory / colmap["file"], newline="") as fh:
-        for raw in csv.DictReader(fh):
-            row = {key: (raw.get(column) or "").strip() for key, column in fields.items()}
-            for key, parse in parsers.items():
-                row[key] = parse(row[key])
-            yield row
+    for column in fields.values():
+        if column not in position:
+            raise ValueError(f"{table.upper()}: column {column!r} not found")
+    return path, {key: position[column] for key, column in fields.items()}
+
+
+def _read_rows(path: Path, columns: dict[str, int], subjects: set[str] | None = None):
+    """Yield one dict per CSV row, keyed by field name, of its stripped cells,
+    those of :data:`_PARSERS` parsed.  A blank line is no row, and a short
+    row's missing cells are empty.  With ``subjects``, a row whose stripped
+    subject cell is not in it is dropped before its dict is built.
+    """
+    parsers = [(key, _PARSERS[key]) for key in columns if key in _PARSERS]
+    subject, width = columns["subject_id"], max(columns.values()) + 1
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)  # the header
+        for cells in filter(None, reader):
+            if len(cells) < width:
+                cells += [""] * (width - len(cells))
+            if subjects is None or cells[subject].strip() in subjects:
+                row = {key: cells[j].strip() for key, j in columns.items()}
+                for key, parse in parsers:
+                    row[key] = parse(row[key])
+                yield row
 
 
 def load_tables(directory, schema: dict | None = None) -> RawTables:
@@ -204,7 +207,7 @@ def load_tables(directory, schema: dict | None = None) -> RawTables:
 
     ``schema`` overrides entries of :data:`DEFAULT_SCHEMA` (table ->
     {field -> column name, "file" -> filename}); a table or field that
-    :data:`DEFAULT_SCHEMA` lacks raises ``ValueError``.  The time, flag and
+    :data:`DEFAULT_SCHEMA` lacks raises ``ValueError``.  The time and
     number cells that extraction reads are parsed, unparseable ones becoming
     ``None``; row order is preserved.  PRESCRIPTIONS and CHARTEVENTS are
     only checked here (file present, every column in the header); their
@@ -218,10 +221,9 @@ def load_tables(directory, schema: dict | None = None) -> RawTables:
                 raise ValueError(f"unknown config key schema.{table}.{name}")
     colmaps = {table: {**defaults, **schema.get(table, {})}
                for table, defaults in DEFAULT_SCHEMA.items()}
-    for table, colmap in colmaps.items():
-        _check_table(directory, table, colmap)
-    small = {table: list(_read_rows(directory, colmap))
-             for table, colmap in colmaps.items() if table not in _STREAMED}
+    columns = {table: _columns(directory, table, colmap) for table, colmap in colmaps.items()}
+    small = {table: list(_read_rows(*columns[table]))
+             for table in colmaps if table not in _STREAMED}
     return RawTables(**small, directory=directory, colmaps=colmaps)
 
 
@@ -241,7 +243,7 @@ def _stay_los(stay: dict) -> float | None:
     return None
 
 
-def extract_cohort(tables: RawTables, cfg: CohortConfig) -> CohortTable:
+def extract_cohort(tables: RawTables, cfg: CohortConfig) -> tuple[CohortRow, ...]:
     """Apply the four extraction rules and return one row per surviving subject."""
     keyword = cfg.diagnosis_keyword.lower()
 
@@ -299,7 +301,7 @@ def extract_cohort(tables: RawTables, cfg: CohortConfig) -> CohortTable:
             age_years=age,
             admission_type=last["admission_type"],
         ))
-    return CohortTable(rows=rows)
+    return tuple(rows)
 
 
 def label_los(los: float, threshold: float) -> int:
@@ -314,14 +316,7 @@ def _normalize_key(s: str) -> str:
     return s.lower().replace(" ", "")
 
 
-def _stream(tables: RawTables, table: str, subjects: set[str]):
-    """Yield the rows of one event table whose subject is in ``subjects``."""
-    for row in _read_rows(tables.directory, tables.colmaps[table]):
-        if row["subject_id"] in subjects:
-            yield row
-
-
-def build_dataset(cohort: CohortTable, tables: RawTables, cfg: CohortConfig) -> Dataset:
+def build_dataset(cohort: tuple[CohortRow, ...], tables: RawTables, cfg: CohortConfig) -> Dataset:
     """Assemble the per-patient feature matrix and LOS label.
 
     Column layout: one binary column per medication key, gender, the
@@ -338,22 +333,24 @@ def build_dataset(cohort: CohortTable, tables: RawTables, cfg: CohortConfig) -> 
         seen.add(k)
 
     # pass 2: stream each event table once, keeping cohort subjects only
-    subjects = set(cohort.subject_ids())
+    subjects = {r.subject_id for r in cohort}
+    prescriptions, chartevents = (
+        _read_rows(*_columns(tables.directory, t, tables.colmaps[t]), subjects) for t in _STREAMED)
     meds: set[tuple[str, str]] = set()  # (subject, key) with a matching drug
-    for p in _stream(tables, "prescriptions", subjects):
+    for p in prescriptions:
         drug = _normalize_key(p["drug"])
         meds.update((p["subject_id"], k) for k in med_keys if k in drug)
     # every value per (subject, lab key), in file order: np.mean sums long
     # lists pairwise, so a running sum would change the last bits
     labs: dict[tuple[str, str], list[float]] = {}
-    for e in _stream(tables, "chartevents", subjects):
+    for e in chartevents:
         if e["value_num"] is not None:
             item = _normalize_key(e["item_key"])
             for k in lab_keys:
                 if k in item:
                     labs.setdefault((e["subject_id"], k), []).append(e["value_num"])
 
-    adm_keys = [_normalize_key(r.admission_type) or "unknown" for r in cohort.rows]
+    adm_keys = [_normalize_key(r.admission_type) or "unknown" for r in cohort]
     adm_types = sorted(set(adm_keys))
     columns = (
         [Column(f"med_{k}", BINARY) for k in med_keys]
@@ -363,10 +360,10 @@ def build_dataset(cohort: CohortTable, tables: RawTables, cfg: CohortConfig) -> 
         + [Column(f"lab_{k}", NUMERIC) for k in lab_keys]
     )
 
-    n = len(cohort.rows)
+    n = len(cohort)
     x = np.full((n, len(columns)), np.nan)
     y = np.zeros(n, dtype=np.int64)
-    for i, row in enumerate(cohort.rows):
+    for i, row in enumerate(cohort):
         feats = [1.0 if (row.subject_id, k) in meds else 0.0 for k in med_keys]
         feats.append(1.0 if row.gender.upper().startswith("M") else 0.0)
         feats.append(1.0 if row.age_years is not None and row.age_years > cfg.age_cutoff_years else 0.0)

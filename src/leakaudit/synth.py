@@ -74,5 +74,5 @@ def generate_cohort(cfg: SynthConfig) -> Dataset:
         [Column(f"bin_{j:02d}", BINARY) for j in range(n_bin)]
         + [Column(f"num_{j:02d}", NUMERIC) for j in range(n_num)]
     )
-    x = np.hstack([x_bin, x_num]) if n_bin and n_num else (x_bin if n_bin else x_num)
+    x = np.hstack([x_bin, x_num])
     return Dataset(columns=columns, x=x, y=y)

@@ -214,9 +214,9 @@ def test_optional_full_mimic_extraction():
     values = parse_config(cfg_path) if cfg_path else {}
     tables = load_tables(os.environ["LEAKAUDIT_MIMIC_DIR"], schema_from_config(values))
     cohort = extract_cohort(tables, cohort_config_from_config(values))
-    long_stays = sum(r.los > 7.0 for r in cohort.rows)
-    assert cohort.rows, "extraction produced an empty cohort"
-    print(f"\nfull extraction: {len(cohort.rows)} patients, {long_stays} long-stay")
+    long_stays = sum(r.los > 7.0 for r in cohort)
+    assert cohort, "extraction produced an empty cohort"
+    print(f"\nfull extraction: {len(cohort)} patients, {long_stays} long-stay")
 
 
 def test_criterion_9_etl_fixture_hand_trace(mimic_demo_dir):
@@ -224,7 +224,7 @@ def test_criterion_9_etl_fixture_hand_trace(mimic_demo_dir):
     cfg = CohortConfig(medication_keys=("heparin", "aspirin"),
                        lab_keys=("glucose", "creatinine"))
     cohort = extract_cohort(tables, cfg)
-    retained = set(cohort.subject_ids())
+    retained = {r.subject_id for r in cohort}
     assert retained == {"1", "2", "7", "8", "9", "10", "12"}
     # each exclusion rule is exercised by a dedicated subject
     assert "3" not in retained   # expire flag

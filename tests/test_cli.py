@@ -43,6 +43,16 @@ def test_etl_missing_table_diagnostic(tmp_path, capsys):
     assert "ADMISSIONS" in capsys.readouterr().err
 
 
+def test_etl_table_file_naming_a_directory_is_missing(tmp_path, capsys):
+    (tmp_path / "ADMISSIONS.csv.d").mkdir()
+    cfg = tmp_path / "dir.cfg"
+    cfg.write_text("schema.admissions.file = ADMISSIONS.csv.d\n")
+    rc = main(["etl", "--data-dir", str(tmp_path), "--config", str(cfg),
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert f"ADMISSIONS: file 'ADMISSIONS.csv.d' not found in {tmp_path}" in capsys.readouterr().err
+
+
 def test_run_skips_split_with_degenerate_training_rows(tmp_path, mimic_demo_dir,
                                                        mimic_demo_cfg):
     # on the 7-row demo cohort one fold's training rows never observe

@@ -1,9 +1,14 @@
 import csv
 import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from leakaudit import cohort_etl
 from leakaudit.cohort_etl import (DEFAULT_SCHEMA, CohortConfig, build_dataset,
                                   extract_cohort, label_los, load_tables)
 from leakaudit.tabular import BINARY, NUMERIC
@@ -26,6 +31,10 @@ def demo_tables(mimic_demo_dir):
 @pytest.fixture(scope="module")
 def demo_cohort(demo_tables):
     return extract_cohort(demo_tables, DEMO_CFG)
+
+
+def _ids(cohort):
+    return [r.subject_id for r in cohort]
 
 
 # --- load_tables -------------------------------------------------------
@@ -65,6 +74,15 @@ def test_missing_file_names_the_table(tmp_path, table):
     (tmp_path / DEFAULT_SCHEMA[table]["file"]).unlink()
     with pytest.raises(FileNotFoundError, match=table.upper()):
         load_tables(tmp_path)
+
+
+@pytest.mark.parametrize("name", ["", "ADMISSIONS.csv.d"])
+def test_file_naming_a_directory_is_a_missing_file(tmp_path, name):
+    write_empty_tables(tmp_path)
+    (tmp_path / "ADMISSIONS.csv.d").mkdir()
+    with pytest.raises(FileNotFoundError,
+                       match=re.escape(f"ADMISSIONS: file {name!r} not found in {tmp_path}")):
+        load_tables(tmp_path, {"admissions": {"file": name}})
 
 
 @pytest.mark.parametrize("table, column", [
@@ -160,58 +178,126 @@ def test_schema_override_renames_columns(tmp_path, mimic_demo_dir):
     assert sum(a["expire_flag"] for a in tables.admissions) == 2
 
 
+def test_event_rows_outside_the_cohort_are_not_parsed(tmp_path, mimic_demo_dir, monkeypatch):
+    def add_outsiders(stem, header, rows):
+        if stem == "CHARTEVENTS":
+            rows += [["3", "301", "9301", "Glucose", "6.0"], ["4", "401", "9401", "Glucose", "x"]]
+        return header, rows
+
+    directory = _copy_demo(mimic_demo_dir, tmp_path, add_outsiders)
+    parsed = []
+    monkeypatch.setitem(cohort_etl._PARSERS, "value_num",
+                        lambda cell: parsed.append(cell) or cohort_etl._parse_float(cell))
+    _, ds = _dataset(directory)
+    assert len(parsed) == 8  # the demo's chart rows, all of cohort subjects
+    assert ds.n_rows == len(EXPECTED_SUBJECTS)
+
+
+# --- the indexed reader against csv.DictReader --------------------------
+
+def _dictreader_rows(path, colmap, subjects):
+    """csv.DictReader, a dict per row of every schema field, then the subject
+    filter, with a 0/1 expire flag: the reference _read_rows is held to."""
+    fields = {key: column for key, column in colmap.items() if key != "file"}
+    parsers = {key: cohort_etl._PARSERS[key] for key in fields if key in cohort_etl._PARSERS}
+    parsers["expire_flag"] = lambda cell: 1 if cohort_etl._parse_float(cell) == 1 else 0
+    with open(path, newline="") as fh:
+        for raw in csv.DictReader(fh):
+            row = {key: (raw.get(column) or "").strip() for key, column in fields.items()}
+            for key, parse in parsers.items():
+                row[key] = parse(row[key])
+            if subjects is None or row["subject_id"] in subjects:
+                yield row
+
+
+def _rule_1(rows):
+    # extraction reads the expire flag only as ``!= 1``
+    return [{**row, "expire_flag": row["expire_flag"] != 1} for row in rows]
+
+
+# a time, a flag, a number and a text field; X and Y are columns no field reads
+_COLMAP = {"file": "T.csv", "subject_id": "S", "admit_time": "A", "expire_flag": "F",
+           "value_num": "V", "drug": "D"}
+_CELLS = st.sampled_from(["1", " 2 ", "3", "", " ", "1.0", " 1", "0", "2", "nan", "inf",
+                          "-2.5e3", "x", "2111-06-01 08:00:00", " 2111-06-01 ", "2111-13-01"])
+
+
+@st.composite
+def _tables(draw):
+    """A header with every read column, some repeated, plus unread ones, and
+    rows shorter and longer than it; an empty row is written as a blank line."""
+    extra = draw(st.lists(st.sampled_from("SAFVDXY"), max_size=4))
+    header = draw(st.permutations(list("SAFVD") + extra))
+    cell = _CELLS | st.text(alphabet=' ,"\n1a', max_size=5)
+    rows = draw(st.lists(st.lists(cell, max_size=len(header) + 2), max_size=8))
+    return header, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=_tables(), subjects=st.sets(st.sampled_from(["1", "2", "3", ""])))
+def test_indexed_reader_matches_dictreader(table, subjects):
+    header, rows = table
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / _COLMAP["file"]
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+        for chosen in (None, subjects):
+            got = list(cohort_etl._read_rows(*cohort_etl._columns(Path(d), "t", _COLMAP), chosen))
+            assert _rule_1(got) == _rule_1(_dictreader_rows(path, _COLMAP, chosen))
+
+
 # --- extract_cohort ----------------------------------------------------
 
 def test_cohort_matches_hand_trace(demo_cohort):
-    assert set(demo_cohort.subject_ids()) == EXPECTED_SUBJECTS
-    by_id = {r.subject_id: r for r in demo_cohort.rows}
+    assert set(_ids(demo_cohort)) == EXPECTED_SUBJECTS
+    by_id = {r.subject_id: r for r in demo_cohort}
     for sid, los in EXPECTED_LOS.items():
         assert by_id[sid].los == pytest.approx(los)
 
 
 def test_expired_sole_admission_excluded(demo_cohort):
-    assert "3" not in demo_cohort.subject_ids()
+    assert "3" not in _ids(demo_cohort)
 
 
 def test_no_keyword_excluded(demo_cohort):
-    assert "4" not in demo_cohort.subject_ids()
+    assert "4" not in _ids(demo_cohort)
 
 
 def test_keyword_without_prefix_excluded(demo_cohort):
     # colon cancer: keyword matches, ICD-9 prefix does not
-    assert "5" not in demo_cohort.subject_ids()
+    assert "5" not in _ids(demo_cohort)
     # prefix must anchor at the start: 2162 does not qualify
-    assert "11" not in demo_cohort.subject_ids()
+    assert "11" not in _ids(demo_cohort)
 
 
 def test_subject_without_icustay_excluded(demo_cohort):
-    assert "6" not in demo_cohort.subject_ids()
+    assert "6" not in _ids(demo_cohort)
 
 
 def test_expired_admission_removed_but_subject_survives(demo_cohort):
-    row = {r.subject_id: r for r in demo_cohort.rows}["7"]
+    row = {r.subject_id: r for r in demo_cohort}["7"]
     assert row.last_hadm_id == "701"  # the expired later admission is gone
     assert row.los == pytest.approx(2.0)
 
 
 def test_latest_admission_and_stay_selected(demo_cohort):
-    row = {r.subject_id: r for r in demo_cohort.rows}["8"]
+    row = {r.subject_id: r for r in demo_cohort}["8"]
     assert row.last_hadm_id == "802"
     assert row.last_icustay_id == "9803"
     assert row.admission_type == "URGENT"
 
 
 def test_lowercase_diagnosis_matches(demo_cohort):
-    assert "9" in demo_cohort.subject_ids()
+    assert "9" in _ids(demo_cohort)
 
 
 def test_los_fallback_from_stay_times(demo_cohort):
-    row = {r.subject_id: r for r in demo_cohort.rows}["12"]
+    row = {r.subject_id: r for r in demo_cohort}["12"]
     assert row.los == pytest.approx(8.0)
 
 
 def test_one_row_per_subject_and_subset(demo_tables, demo_cohort):
-    ids = demo_cohort.subject_ids()
+    ids = _ids(demo_cohort)
     assert len(ids) == len(set(ids))
     assert set(ids) <= {a["subject_id"] for a in demo_tables.admissions}
 
@@ -220,21 +306,21 @@ def test_uppercasing_diagnoses_leaves_cohort_unchanged(demo_tables, demo_cohort)
     import dataclasses
     upper = dataclasses.replace(demo_tables, admissions=[
         {**a, "diagnosis": a["diagnosis"].upper()} for a in demo_tables.admissions])
-    assert extract_cohort(upper, DEMO_CFG).subject_ids() == demo_cohort.subject_ids()
+    assert _ids(extract_cohort(upper, DEMO_CFG)) == _ids(demo_cohort)
 
 
 def test_adding_prefix_never_shrinks_cohort(demo_tables, demo_cohort):
     import dataclasses
     wider = dataclasses.replace(DEMO_CFG, icd9_prefixes=("162", "153"))
     bigger = extract_cohort(demo_tables, wider)
-    assert set(demo_cohort.subject_ids()) <= set(bigger.subject_ids())
-    assert "5" in bigger.subject_ids()
+    assert set(_ids(demo_cohort)) <= set(_ids(bigger))
+    assert "5" in _ids(bigger)
 
 
 def test_empty_cohort_is_not_an_error(demo_tables):
     import dataclasses
     none_cfg = dataclasses.replace(DEMO_CFG, diagnosis_keyword="zzznope")
-    assert extract_cohort(demo_tables, none_cfg).rows == []
+    assert extract_cohort(demo_tables, none_cfg) == ()
 
 
 # --- label_los ---------------------------------------------------------
@@ -275,7 +361,7 @@ def test_feature_columns_and_kinds(demo_dataset):
 
 
 def _row(ds, demo_cohort, sid):
-    return ds.x[[r.subject_id for r in demo_cohort.rows].index(sid)]
+    return ds.x[[r.subject_id for r in demo_cohort].index(sid)]
 
 
 def test_medication_binary_flags(demo_dataset, demo_cohort):
@@ -309,7 +395,7 @@ def test_lab_mean_and_missing(demo_dataset, demo_cohort):
 
 
 def test_labels_follow_los_threshold(demo_dataset, demo_cohort):
-    labels = dict(zip([r.subject_id for r in demo_cohort.rows], demo_dataset.y))
+    labels = dict(zip([r.subject_id for r in demo_cohort], demo_dataset.y))
     assert {sid: int(v) for sid, v in labels.items()} == {
         "1": 0, "2": 1, "7": 0, "8": 1, "9": 0, "10": 0, "12": 1}
 

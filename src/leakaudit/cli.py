@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 
 from . import cohort_etl, config as cfgmod, synth
+from .cohort_etl import CohortConfig
 from .experiment import (ALL_SETUPS, SETUPS, RunConfig, render_payload, render_report,
                          run_experiment)
 from .forest import ForestConfig
@@ -96,7 +97,7 @@ def _cmd_synth(args) -> int:
 def _cmd_etl(args) -> int:
     values = cfgmod.parse_config(args.config) if args.config else {}
     schema = cfgmod.schema_from_config(values)
-    cohort_cfg = cfgmod.cohort_config_from_config(values)
+    cohort_cfg = CohortConfig(**cfgmod.section(values, CohortConfig))
     tables = cohort_etl.load_tables(args.data_dir, schema)
     cohort = cohort_etl.extract_cohort(tables, cohort_cfg)
     ds = cohort_etl.build_dataset(cohort, tables, cohort_cfg)

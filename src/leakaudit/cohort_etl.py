@@ -18,12 +18,13 @@ is the prediction target.
 
 A table needs only the columns of :data:`DEFAULT_SCHEMA`, the ones
 extraction reads; any other column is ignored.  Each table's columns are
-resolved once from its header, and one ``csv.reader`` loop reads every table.
-Pass 1, :func:`load_tables`, reads ADMISSIONS, ICUSTAYS, DIAGNOSES_ICD and
-PATIENTS into row dicts, from which :func:`extract_cohort` fixes the cohort;
-of PRESCRIPTIONS and CHARTEVENTS it only checks the file and header.  Pass 2,
-:func:`build_dataset`, streams each event table once and tests each row's
-subject cell before anything else is built, keeping, for cohort subjects
+resolved once from its header, in pass 1, and one ``csv.reader`` loop reads
+every table.  Pass 1, :func:`load_tables`, reads ADMISSIONS, ICUSTAYS,
+DIAGNOSES_ICD and PATIENTS into row dicts, from which :func:`extract_cohort`
+fixes the cohort; of PRESCRIPTIONS and CHARTEVENTS it only checks the file and
+header, keeping each one's path and column positions.  Pass 2,
+:func:`build_dataset`, streams each event table once from those and tests each
+row's subject cell before anything else is built, keeping, for cohort subjects
 only, a flag per medication key and the values of each lab key.  Memory is
 thus bounded by the cohort (and the four small tables), not by the number of
 events.
@@ -92,16 +93,15 @@ DEFAULT_SCHEMA = {
 class RawTables:
     """Pass-1 tables: row dicts keyed by the field names of :data:`DEFAULT_SCHEMA`.
 
-    The two event tables are not held here; ``directory`` and ``colmaps``
-    (table -> {field -> column name, "file" -> filename}) say where
-    :func:`build_dataset` streams them from.
+    The two event tables are not held here; ``events`` maps each to its file
+    and {field -> column position}, checked against its header, from which
+    :func:`build_dataset` streams it.
     """
     admissions: list[dict]
     icustays: list[dict]
     diagnoses_icd: list[dict]
     patients: list[dict]
-    directory: Path
-    colmaps: dict
+    events: dict[str, tuple[Path, dict[str, int]]]
 
 
 @dataclass(frozen=True)
@@ -141,9 +141,10 @@ def _parse_float(cell: str) -> float | None:
 
 def _parse_time(cell: str) -> datetime | None:
     try:
-        return datetime.fromisoformat(cell)
+        t = datetime.fromisoformat(cell)
     except ValueError:
         return None
+    return t if t.tzinfo is None else None
 
 
 # The cells that extraction reads as times or numbers; every other cell
@@ -208,10 +209,10 @@ def load_tables(directory, schema: dict | None = None) -> RawTables:
     ``schema`` overrides entries of :data:`DEFAULT_SCHEMA` (table ->
     {field -> column name, "file" -> filename}); a table or field that
     :data:`DEFAULT_SCHEMA` lacks raises ``ValueError``.  The time and
-    number cells that extraction reads are parsed, unparseable ones becoming
-    ``None``; row order is preserved.  PRESCRIPTIONS and CHARTEVENTS are
-    only checked here (file present, every column in the header); their
-    rows are read by :func:`build_dataset`.
+    number cells that extraction reads are parsed, unparseable ones (and
+    times with a UTC offset) becoming ``None``; row order is preserved.
+    PRESCRIPTIONS and CHARTEVENTS are only checked here (file present, every
+    column in the header); their rows are read by :func:`build_dataset`.
     """
     directory = Path(directory)
     schema = schema or {}
@@ -219,12 +220,11 @@ def load_tables(directory, schema: dict | None = None) -> RawTables:
         for name in fields:
             if name not in DEFAULT_SCHEMA.get(table, {}):
                 raise ValueError(f"unknown config key schema.{table}.{name}")
-    colmaps = {table: {**defaults, **schema.get(table, {})}
+    columns = {table: _columns(directory, table, {**defaults, **schema.get(table, {})})
                for table, defaults in DEFAULT_SCHEMA.items()}
-    columns = {table: _columns(directory, table, colmap) for table, colmap in colmaps.items()}
     small = {table: list(_read_rows(*columns[table]))
-             for table in colmaps if table not in _STREAMED}
-    return RawTables(**small, directory=directory, colmaps=colmaps)
+             for table in columns if table not in _STREAMED}
+    return RawTables(**small, events={table: columns[table] for table in _STREAMED})
 
 
 def _id_key(s: str):
@@ -334,8 +334,7 @@ def build_dataset(cohort: tuple[CohortRow, ...], tables: RawTables, cfg: CohortC
 
     # pass 2: stream each event table once, keeping cohort subjects only
     subjects = {r.subject_id for r in cohort}
-    prescriptions, chartevents = (
-        _read_rows(*_columns(tables.directory, t, tables.colmaps[t]), subjects) for t in _STREAMED)
+    prescriptions, chartevents = (_read_rows(*tables.events[t], subjects) for t in _STREAMED)
     meds: set[tuple[str, str]] = set()  # (subject, key) with a matching drug
     for p in prescriptions:
         drug = _normalize_key(p["drug"])

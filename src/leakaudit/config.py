@@ -117,8 +117,3 @@ def schema_from_config(values: dict) -> dict:
             _, table, field = key.split(".")
             schema.setdefault(table, {})[field] = value
     return schema
-
-
-def cohort_config_from_config(values: dict) -> CohortConfig:
-    """Build extraction settings from ``cohort.*`` and ``features.*`` keys."""
-    return CohortConfig(**section(values, CohortConfig))

@@ -208,12 +208,11 @@ def test_criterion_8_cli_determinism(tmp_path):
 def test_optional_full_mimic_extraction():
     # not part of CI: extracts the lung-cancer cohort from credentialed data
     # so the resulting size can be compared against the expected ~112/10 split
-    from leakaudit.config import (cohort_config_from_config, parse_config,
-                                  schema_from_config)
+    from leakaudit.config import parse_config, schema_from_config, section
     cfg_path = os.environ.get("LEAKAUDIT_MIMIC_CFG")
     values = parse_config(cfg_path) if cfg_path else {}
     tables = load_tables(os.environ["LEAKAUDIT_MIMIC_DIR"], schema_from_config(values))
-    cohort = extract_cohort(tables, cohort_config_from_config(values))
+    cohort = extract_cohort(tables, CohortConfig(**section(values, CohortConfig)))
     long_stays = sum(r.los > 7.0 for r in cohort)
     assert cohort, "extraction produced an empty cohort"
     print(f"\nfull extraction: {len(cohort)} patients, {long_stays} long-stay")

@@ -193,6 +193,43 @@ def test_event_rows_outside_the_cohort_are_not_parsed(tmp_path, mimic_demo_dir, 
     assert ds.n_rows == len(EXPECTED_SUBJECTS)
 
 
+def test_each_table_header_is_resolved_once(mimic_demo_dir, monkeypatch):
+    calls = []
+    columns = cohort_etl._columns
+    monkeypatch.setattr(cohort_etl, "_columns",
+                        lambda directory, table, colmap: calls.append(table) or
+                        columns(directory, table, colmap))
+    _dataset(mimic_demo_dir)
+    assert sorted(calls) == sorted(DEFAULT_SCHEMA)
+
+
+@pytest.mark.parametrize("stem, subject, column", [
+    ("ADMISSIONS", "1", "ADMITTIME"),
+    ("PATIENTS", "1", "DOB"),
+    ("ICUSTAYS", "12", "OUTTIME"),  # its blank LOS falls back to OUTTIME - INTIME
+])
+def test_time_with_utc_offset_reads_as_missing(tmp_path, mimic_demo_dir, stem, subject, column):
+    def set_cell(value):
+        def edit(name, header, rows):
+            for row in rows:
+                if name == stem and row[0] == subject:
+                    j = header.index(column)
+                    row[j] = value(row[j])
+            return header, rows
+        return edit
+
+    (tmp_path / "offset").mkdir()
+    (tmp_path / "blank").mkdir()
+    _copy_demo(mimic_demo_dir, tmp_path / "offset", set_cell(lambda cell: cell + "+00:00"))
+    _copy_demo(mimic_demo_dir, tmp_path / "blank", set_cell(lambda cell: ""))
+    assert "+00:00" in (tmp_path / "offset" / f"{stem}.csv").read_text()
+    _, offset = _dataset(tmp_path / "offset")
+    _, blank = _dataset(tmp_path / "blank")
+    assert offset.column_names == blank.column_names
+    np.testing.assert_array_equal(offset.x, blank.x)
+    np.testing.assert_array_equal(offset.y, blank.y)
+
+
 # --- the indexed reader against csv.DictReader --------------------------
 
 def _dictreader_rows(path, colmap, subjects):

@@ -134,6 +134,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    if not args.report_json.is_file():
+        raise FileNotFoundError(f"report file not found: {args.report_json}")
     try:
         with open(args.report_json) as fh:
             payload = json.load(fh)

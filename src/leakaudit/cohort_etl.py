@@ -33,6 +33,7 @@ events.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
@@ -114,8 +115,10 @@ class CohortConfig:
     lab_keys: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.los_threshold_days <= 0:
-            raise ValueError("los_threshold_days must be positive")
+        if not 0 < self.los_threshold_days < math.inf:
+            raise ValueError("los_threshold_days must be positive and finite")
+        if not math.isfinite(self.age_cutoff_years):
+            raise ValueError("age_cutoff_years must be finite")
         if not self.icd9_prefixes:
             raise ValueError("at least one ICD-9 prefix is required")
 

@@ -84,7 +84,7 @@ def parse_config(path) -> dict:
     the file, line and key.
     """
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise FileNotFoundError(f"config file not found: {path}")
     values: dict = {}
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):

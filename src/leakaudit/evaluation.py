@@ -120,13 +120,13 @@ def auroc(scores, labels) -> float:
     return float(u / (n_pos * n_neg))
 
 
-def confusion_matrix(scores, labels, threshold: float = 0.5) -> dict:
-    """Counts at the given decision threshold; a tied score predicts positive."""
+def confusion_matrix(scores, labels) -> dict:
+    """Counts at decision threshold 0.5; a tied score predicts positive."""
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels)
     if s.shape != y.shape:
         raise ValueError("scores and labels must have equal length")
-    pred = s >= threshold
+    pred = s >= 0.5
     actual = y == 1
     return {
         "tp": int((pred & actual).sum()),

@@ -2,7 +2,9 @@
 
 Axis-aligned trees, greedy Gini splits over a per-node random feature
 subset, bootstrap resampling per tree.  Scores are the mean over trees of
-the positive-class fraction in the reached leaf.
+the positive-class fraction in the reached leaf.  Growth and prediction both
+move a row from node i to ``left[i] + (x[feature[i]] > threshold[i])``; a
+leaf (feature -1, threshold +inf) is its own ``left``.
 
 All trees grow together, one depth level per pass, as in presorted
 level-wise split search (SLIQ): each feature is ranked once, and a level's
@@ -50,12 +52,11 @@ class ForestConfig:
 
 
 class _Nodes(NamedTuple):
-    # a leaf has feature -1 and is its own left and right child; value is the
-    # node's positive fraction
+    # a row goes to left + (its feature cell > threshold); a leaf has feature -1,
+    # threshold +inf and is its own left.  value is the node's positive fraction
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
-    right: np.ndarray
     value: np.ndarray
 
 
@@ -88,8 +89,13 @@ def _candidates(keys: np.ndarray, p: int, mtry: int) -> np.ndarray:
     return np.argsort(h, axis=1, kind="stable")[:, :mtry]
 
 
+def _step(x, row, feature, threshold, left, node):
+    """Where each (row, node) pair moves: a leaf keeps it, a split sends it to left or left + 1."""
+    return left[node] + (x[row, feature[node]] > threshold[node])
+
+
 def _split_pass(x, y, ranks, node, row, w, size, pos, keys, mtry, min_leaf):
-    """Per node, the first lowest-cost (feature, threshold); feature -1 if none.
+    """Per node, the first lowest-cost (feature, threshold); (-1, +inf) if none.
 
     Instances are grouped by ``node`` (0, 1, ...) and weigh ``w``.  Cost is
     the size-weighted Gini, lp*(ln-lp)/ln + rp*(rn-rp)/rn, on exact integer
@@ -125,7 +131,7 @@ def _split_pass(x, y, ranks, node, row, w, size, pos, keys, mtry, min_leaf):
     lo, hi = x[row[inst[best]], f], x[row[inst[best + 1]], f]
     thr = 0.5 * (lo + hi)
     at = seg[best] // mtry
-    feature, threshold = np.full(len(keys), -1), np.zeros(len(keys))
+    feature, threshold = np.full(len(keys), -1), np.full(len(keys), np.inf)
     feature[at], threshold[at] = f, np.where(thr >= hi, lo, thr)
     return feature, threshold
 
@@ -165,12 +171,10 @@ def _select(keep, node, row, w):
 
 
 def _route(x, has, left, feature, threshold, node, row, w):
-    """Send the instances of split nodes to their children, grouped by child.
-
-    ``left`` numbers each node's left child within the next level.
-    """
+    """Send the instances of split nodes to their children, grouped by child;
+    ``left`` numbers each node's left child within the next level."""
     node, row, w = _select(has[node], node, row, w)
-    child = left[node] + (x[row, feature[node]] > threshold[node])
+    child = _step(x, row, feature, threshold, left, node)
     order = np.argsort(child, kind="stable")
     return child[order], row[order], w[order]
 
@@ -195,7 +199,7 @@ def _grow_forest(x, y, cfg: ForestConfig, mtry: int):
         pos = np.bincount(node, w * y[row], minlength=m)
         split = (pos > 0) & (pos < size) & (size >= 2 * cfg.min_leaf)
         split &= cfg.max_depth is None or depth < cfg.max_depth
-        feature, threshold = np.full(m, -1), np.zeros(m)
+        feature, threshold = np.full(m, -1), np.full(m, np.inf)
         s = np.flatnonzero(split)
         node, row, w = _select(split[node], node, row, w)
         if s.size and p:  # with no feature, every node is a leaf
@@ -204,7 +208,7 @@ def _grow_forest(x, y, cfg: ForestConfig, mtry: int):
                                                     cfg.min_leaf)
         has = feature >= 0
         left = np.where(has, off + m + 2 * (np.cumsum(has) - 1), off + np.arange(m))
-        levels.append((node_tree, feature, threshold, left, left + has, pos / size))
+        levels.append((node_tree, feature, threshold, left, pos / size))
         node, row, w = _route(x, has, left - off - m, feature, threshold, node, row, w)
         keys = _mix(keys[has, None], np.arange(2, dtype=np.uint64)).ravel()
         node_tree = np.repeat(node_tree[has], 2)
@@ -226,12 +230,10 @@ def train_forest(ds: Dataset, rows, cfg: ForestConfig) -> ForestModel:
     node_tree, *nodes = _grow_forest(x, y, cfg, min(mtry, p))
     # regroup the level-ordered nodes by tree and renumber the children to match
     order = np.argsort(node_tree, kind="stable")
-    new_index = np.argsort(order)
-    feature, threshold, left, right, value = (a[order] for a in nodes)
+    feature, threshold, left, value = (a[order] for a in nodes)
     offsets = np.searchsorted(node_tree[order], np.arange(cfg.n_trees + 1))
     return ForestModel(_Nodes(feature.astype(np.int32), threshold,
-                              new_index[left].astype(np.int32),
-                              new_index[right].astype(np.int32), value),
+                              np.argsort(order)[left].astype(np.int32), value),
                        offsets.astype(np.int32), ds.columns)
 
 
@@ -243,15 +245,12 @@ def predict_proba(model: ForestModel, ds: Dataset, rows) -> np.ndarray:
     x = ds.x[rows]
     if np.isnan(x).any():
         raise ValueError("evaluation rows contain missing cells; impute first")
-    if rows.size == 0:
-        return np.zeros(0)
-    # walk every tree at once; a leaf is its own child, so a row that reached one stays
+    # walk every tree at once; a row that reached its leaf stays there
     nodes = model.nodes
     node = np.repeat(model.offsets[:-1, None], len(x), axis=1)
     col = np.arange(len(x))
     while (nodes.feature[node] >= 0).any():
-        go_left = x[col, np.maximum(nodes.feature[node], 0)] <= nodes.threshold[node]
-        node = np.where(go_left, nodes.left[node], nodes.right[node])
+        node = _step(x, col, nodes.feature, nodes.threshold, nodes.left, node)
     # a sum along the slow axis adds the trees one by one, in tree order (no pairwise sum)
     return nodes.value[node].sum(axis=0) / len(node)
 

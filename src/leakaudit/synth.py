@@ -7,6 +7,7 @@ features, and MCAR missingness on the numeric features only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +35,8 @@ class SynthConfig:
             raise ValueError("feature counts must be non-negative")
         if not 0 <= self.missing_rate < 1:
             raise ValueError("missing_rate must be in [0, 1)")
-        if self.signal_strength < 0:
-            raise ValueError("signal_strength must be non-negative")
+        if not 0 <= self.signal_strength < math.inf:
+            raise ValueError("signal_strength must be non-negative and finite")
 
 
 def generate_cohort(cfg: SynthConfig) -> Dataset:
@@ -62,9 +63,8 @@ def generate_cohort(cfg: SynthConfig) -> Dataset:
 
     p_pos = min(0.9, 0.3 + 0.2 * s)
     x_bin = (rng.random((n, n_bin)) < 0.3).astype(float)
-    if informative_bin:
-        draws = rng.random((int(pos.sum()), informative_bin))
-        x_bin[pos, :informative_bin] = (draws < p_pos).astype(float)
+    draws = rng.random((int(pos.sum()), informative_bin))
+    x_bin[pos, :informative_bin] = (draws < p_pos).astype(float)
 
     if cfg.missing_rate > 0 and n_num:
         mask = rng.random((n, n_num)) < cfg.missing_rate

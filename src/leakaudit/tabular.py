@@ -173,10 +173,7 @@ def apply_imputer(ds: Dataset, model: ImputerModel) -> Dataset:
     """Replace every missing cell with its column fill; observed cells unchanged."""
     if tuple(model.columns) != tuple(ds.columns):
         raise ValueError("imputer columns do not match dataset columns")
-    x = ds.x.copy()
-    nan_mask = np.isnan(x)
-    if nan_mask.any():
-        x[nan_mask] = np.broadcast_to(model.fill, x.shape)[nan_mask]
+    x = np.where(np.isnan(ds.x), model.fill, ds.x)
     return Dataset(columns=ds.columns, x=x, y=ds.y.copy(), parents=ds.parents.copy())
 
 
@@ -185,10 +182,10 @@ def apply_imputer(ds: Dataset, model: ImputerModel) -> Dataset:
 # Missing cells are written as empty fields; the final column is the label.
 # ---------------------------------------------------------------------------
 
-def _format_cell(v: float, kind: str) -> str:
+def _format_cell(v: float) -> str:
     if math.isnan(v):
         return ""
-    if kind == BINARY or v == int(v):
+    if v == int(v):
         return str(int(v))
     return repr(float(v))  # full precision for an exact round-trip
 
@@ -204,7 +201,7 @@ def write_dataset(ds: Dataset, csv_path) -> None:
         w = csv.writer(fh)
         w.writerow(ds.column_names + [LABEL_COLUMN])
         for i in range(ds.n_rows):
-            row = [_format_cell(ds.x[i, j], c.kind) for j, c in enumerate(ds.columns)]
+            row = [_format_cell(v) for v in ds.x[i]]
             row.append(str(int(ds.y[i])))
             w.writerow(row)
     sidecar = {
@@ -216,15 +213,18 @@ def write_dataset(ds: Dataset, csv_path) -> None:
         fh.write("\n")
 
 
-def _parse_cell(cell: str, csv_path, line: int, column: str) -> float:
+def _parse_cell(cell: str, csv_path, line: int, column: str, binary: bool) -> float:
     try:
         v = float(cell)
     except ValueError:
         v = math.nan  # text that is no number gets the same diagnostic
     if not math.isfinite(v):
-        raise ValueError(f"{csv_path}: row {line}, column {column!r}: "
-                         f"{cell!r} is not a finite number")
-    return v
+        problem = "is not a finite number"
+    elif binary and v not in (0.0, 1.0):
+        problem = "is not 0 or 1 in a binary column"
+    else:
+        return v
+    raise ValueError(f"{csv_path}: row {line}, column {column!r}: {cell!r} {problem}")
 
 
 def read_dataset(csv_path) -> Dataset:
@@ -233,11 +233,13 @@ def read_dataset(csv_path) -> Dataset:
     Column kinds come from the JSON sidecar when present; without one, a
     column whose observed values are all 0/1 is treated as binary.  Every
     row is original.  A repeated header name, a feature cell that is not a
-    finite number, or a label other than 0/1, is rejected with its file, row
-    and column; a malformed sidecar is rejected naming the sidecar.
+    finite number, a cell other than 0/1 in a column the sidecar declares
+    binary, or a label other than 0/1, is rejected with its file, row and
+    column; a malformed sidecar is rejected naming the sidecar.  A path that
+    names a directory counts as missing.
     """
     csv_path = Path(csv_path)
-    if not csv_path.exists():
+    if not csv_path.is_file():
         raise FileNotFoundError(f"dataset file not found: {csv_path}")
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
@@ -253,23 +255,9 @@ def read_dataset(csv_path) -> Dataset:
             raise ValueError(f"{csv_path}: row 1 (the header), column {j + 1}: "
                              f"name {name!r} repeats column {header.index(name) + 1}")
     names = header[:-1]
-    n, p = len(rows), len(names)
-    x = np.full((n, p), np.nan)
-    y = np.zeros(n, dtype=np.int64)
-    for i, row in enumerate(rows):
-        line = i + 2  # the header is line 1
-        if len(row) != p + 1:
-            raise ValueError(f"{csv_path}: row {line} has {len(row)} fields, expected {p + 1}")
-        for j, cell in enumerate(row[:-1]):
-            if cell.strip() != "":
-                x[i, j] = _parse_cell(cell, csv_path, line, names[j])
-        if row[-1].strip() not in ("0", "1"):
-            raise ValueError(f"{csv_path}: row {line}, column {LABEL_COLUMN!r}: "
-                             f"label {row[-1]!r} is not 0 or 1")
-        y[i] = int(row[-1])
-
     sidecar_path = csv_path.with_suffix(".json")
-    if sidecar_path.exists():
+    columns = None  # without a sidecar, kinds are inferred once the cells are read
+    if sidecar_path.is_file():
         try:
             with open(sidecar_path) as fh:
                 declared = {c["name"]: c["kind"] for c in json.load(fh)["columns"]}
@@ -282,7 +270,23 @@ def read_dataset(csv_path) -> Dataset:
                              f'[{{"name": ..., "kind": ...}}, ...]}}') from None
         except ValueError as exc:  # not JSON, or an unknown kind
             raise ValueError(f"{sidecar_path}: {exc}") from None
-    else:
+    binary_names = {c.name for c in columns or () if c.kind == BINARY}
+    n, p = len(rows), len(names)
+    x = np.full((n, p), np.nan)
+    y = np.zeros(n, dtype=np.int64)
+    for i, row in enumerate(rows):
+        line = i + 2  # the header is line 1
+        if len(row) != p + 1:
+            raise ValueError(f"{csv_path}: row {line} has {len(row)} fields, expected {p + 1}")
+        for j, cell in enumerate(row[:-1]):
+            if cell.strip() != "":
+                x[i, j] = _parse_cell(cell, csv_path, line, names[j], names[j] in binary_names)
+        if row[-1].strip() not in ("0", "1"):
+            raise ValueError(f"{csv_path}: row {line}, column {LABEL_COLUMN!r}: "
+                             f"label {row[-1]!r} is not 0 or 1")
+        y[i] = int(row[-1])
+
+    if columns is None:
         kinds = []
         for j in range(p):
             v = x[:, j]

@@ -125,6 +125,21 @@ def test_run_missing_data_file(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["absent", "directory"])
+@pytest.mark.parametrize("target, noun", [("data", "dataset"), ("config", "config"),
+                                          ("report", "report")])
+def test_input_path_that_names_no_file_is_not_found(target, noun, kind, tmp_path, capsys):
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    argv = {"data": ["run", "--data", str(path)],
+            "config": ["run", "--data", str(tmp_path / "dataset.csv"), "--config", str(path)],
+            "report": ["report", str(path)]}[target]
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert f"{noun} file not found: {path}" in err and "Errno" not in err
+
+
 def test_run_malformed_sidecar_names_it(tmp_path, capsys):
     data = tmp_path / "d"
     main(["synth", "--n-total", "20", "--n-minority", "5", "--out", str(data)])
@@ -165,6 +180,13 @@ def test_config_file_overrides_and_cli_wins(tmp_path):
     # a column extraction never reads is not part of the schema
     ("etl", "schema.admissions.disch_time = DISCHTIME",
      "unknown config key 'schema.admissions.disch_time'"),
+    ("run", "forest.trees 5", "expected 'key = value', got 'forest.trees 5'"),
+    ("etl", "cohort.los_threshold_days = nan", "bad value for config key "
+     "'cohort.los_threshold_days': los_threshold_days must be positive and finite"),
+    ("etl", "cohort.los_threshold_days = inf", "bad value for config key "
+     "'cohort.los_threshold_days': los_threshold_days must be positive and finite"),
+    ("etl", "cohort.age_cutoff_years = nan",
+     "bad value for config key 'cohort.age_cutoff_years': age_cutoff_years must be finite"),
 ])
 def test_config_error_names_file_line_and_key(command, line, error, tmp_path, capsys,
                                               mimic_demo_dir, mimic_demo_cfg):

@@ -142,6 +142,23 @@ def test_schema_mismatch_rejected():
         predict_proba(model, b, [0, 1])
 
 
+def test_predict_on_no_rows_returns_an_empty_float_array():
+    ds = make_dataset([[0.0], [1.0]], [0, 1])
+    scores = predict_proba(train_forest(ds, [0, 1], _forest()), ds, [])
+    assert scores.shape == (0,) and scores.dtype == np.float64
+
+
+def test_a_leaf_is_its_own_left_child_with_an_infinite_threshold():
+    # tied rows with mixed labels leave nodes that may split but have no valid split
+    rng = np.random.default_rng(5)
+    ds = make_dataset(rng.integers(0, 3, (60, 2)).astype(float), rng.integers(0, 2, 60))
+    nodes = train_forest(ds, range(60), _forest(mtry=2, min_leaf=2)).nodes
+    index, leaf = np.arange(len(nodes.feature)), nodes.feature < 0
+    np.testing.assert_array_equal(nodes.left[leaf], index[leaf])
+    assert np.isposinf(nodes.threshold[leaf]).all()
+    assert np.isfinite(nodes.threshold[~leaf]).all() and (nodes.left[~leaf] > index[~leaf]).all()
+
+
 def test_min_leaf_limits_growth():
     y = np.array([0, 1] * 10)
     ds = make_dataset(np.arange(20.0), y)

@@ -71,12 +71,26 @@ def test_signal_separates_class_means():
     assert abs(pos[:, 3].mean() - neg[:, 3].mean()) < 0.5  # noise
 
 
+def test_informative_slots_past_the_numeric_columns_shift_binary_columns():
+    # 4 informative slots, 2 numeric columns: bin_00 and bin_01 are informative
+    cfg = SynthConfig(n_total=2000, n_minority=1000, n_binary_features=3,
+                      n_numeric_features=2, n_informative=4, signal_strength=3.0,
+                      missing_rate=0.0, seed=4)
+    ds = generate_cohort(cfg)
+    pos, neg = ds.x[ds.y == 1], ds.x[ds.y == 0]
+    np.testing.assert_allclose(pos[:, :2].mean(axis=0), 0.9, atol=0.05)  # min(0.9, 0.3 + 0.6)
+    np.testing.assert_allclose(neg[:, :3].mean(axis=0), 0.3, atol=0.05)
+    assert abs(pos[:, 2].mean() - 0.3) < 0.05  # bin_02 is noise
+
+
 @pytest.mark.parametrize("bad", [
     dict(n_total=10, n_minority=10),
     dict(n_total=10, n_minority=0),
     dict(n_total=10, n_minority=3, n_binary_features=1, n_numeric_features=1, n_informative=3),
     dict(n_total=10, n_minority=3, missing_rate=1.0),
     dict(n_total=10, n_minority=3, signal_strength=-0.1),
+    dict(n_total=10, n_minority=3, signal_strength=float("nan")),
+    dict(n_total=10, n_minority=3, signal_strength=float("inf")),
 ])
 def test_invalid_configs_rejected(bad):
     with pytest.raises(ValueError):

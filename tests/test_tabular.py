@@ -204,6 +204,36 @@ def test_read_rejects_bad_cell_naming_file_row_column(tmp_path, bad_row, message
     assert str(err.value) == f"{path}: row 3, {message}"
 
 
+def test_read_rejects_a_cell_outside_0_1_in_a_declared_binary_column(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("a,b,label\n0.5,1,0\n1.5,1.5,1\n")
+    (tmp_path / "d.json").write_text('{"columns": [{"name": "a", "kind": "numeric"}, '
+                                     '{"name": "b", "kind": "binary"}]}')
+    with pytest.raises(ValueError) as err:
+        read_dataset(path)
+    assert str(err.value) == f"{path}: row 3, column 'b': '1.5' is not 0 or 1 in a binary column"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty file, expected a header row"),
+    ("a,b\n1,0\n", "last column must be 'label'"),
+    ("a,label\n1,0\n1,0,1\n", "row 3 has 3 fields, expected 2"),
+], ids=["empty", "no-label-column", "field-count"])
+def test_read_rejects_a_malformed_file_naming_it(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
+        read_dataset(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_a_sidecar_path_naming_a_directory_is_no_sidecar(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("a,b,label\n1,2.5,0\n0,1.5,1\n")
+    (tmp_path / "d.json").mkdir()
+    assert [c.kind for c in read_dataset(path).columns] == [BINARY, NUMERIC]
+
+
 @pytest.mark.parametrize("header, message", [
     ("a,a,label", "column 2: name 'a' repeats column 1"),
     ("a,b,a,label", "column 3: name 'a' repeats column 1"),
@@ -225,7 +255,8 @@ def test_read_rejects_a_repeated_header_name(tmp_path, header, message):
     ('{"columns": [{"name": "bin_00", "kind": "bool"}]}',
      "unknown column kind 'bool' for 'bin_00'"),
     ("[]", 'expected {"columns": '),
-], ids=["not-json", "no-columns", "no-kind", "unknown-kind", "list"])
+    ('{"columns": []}', "no kind declared for columns ['bin_00']"),
+], ids=["not-json", "no-columns", "no-kind", "unknown-kind", "list", "undeclared-column"])
 def test_read_rejects_malformed_sidecar_naming_it(tmp_path, sidecar, message):
     path = tmp_path / "d.csv"
     path.write_text("bin_00,label\n1,0\n0,1\n")

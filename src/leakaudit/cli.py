@@ -12,7 +12,6 @@ Exit code 0 on success, 1 with a diagnostic on stderr for any error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -35,6 +34,18 @@ _RUN_FLAGS = {
     "--trees": ("forest.trees", None),
 }
 
+# synth flag -> (SynthConfig field it sets, value type, help text)
+_SYNTH_FLAGS = {
+    "--n-total": ("n_total", int, None),
+    "--n-minority": ("n_minority", int, None),
+    "--n-binary": ("n_binary_features", int, None),
+    "--n-numeric": ("n_numeric_features", int, None),
+    "--n-informative": ("n_informative", int, None),
+    "--signal": ("signal_strength", float, "class mean shift on informative features"),
+    "--missing-rate": ("missing_rate", float, None),
+    "--seed": ("seed", int, None),
+}
+
 # --setup value -> setup name
 _SETUP_ALIASES = {setup.flag: name for name, setup in SETUPS.items()}
 
@@ -48,15 +59,8 @@ def _build_parser() -> argparse.ArgumentParser:
     # flags without a default: a setting left out keeps its SynthConfig default
     p_synth = sub.add_parser("synth", help="generate a synthetic cohort dataset",
                              argument_default=argparse.SUPPRESS)
-    p_synth.add_argument("--n-total", type=int)
-    p_synth.add_argument("--n-minority", type=int)
-    p_synth.add_argument("--n-binary", type=int, dest="n_binary_features")
-    p_synth.add_argument("--n-numeric", type=int, dest="n_numeric_features")
-    p_synth.add_argument("--n-informative", type=int)
-    p_synth.add_argument("--signal", type=float, dest="signal_strength",
-                         help="class mean shift on informative features")
-    p_synth.add_argument("--missing-rate", type=float)
-    p_synth.add_argument("--seed", type=int)
+    for flag, (field, kind, text) in _SYNTH_FLAGS.items():
+        p_synth.add_argument(flag, type=kind, dest=field, help=text)
     p_synth.add_argument("--out", type=Path, required=True, help="output directory")
 
     p_etl = sub.add_parser("etl", help="extract a dataset from MIMIC-shaped CSVs")
@@ -84,8 +88,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_synth(args) -> int:
-    fields = {f.name for f in dataclasses.fields(synth.SynthConfig)}
-    cfg = synth.SynthConfig(**{k: v for k, v in vars(args).items() if k in fields})
+    given = {flag: field for flag, (field, _, _) in _SYNTH_FLAGS.items() if field in vars(args)}
+    try:
+        cfg = synth.SynthConfig(**{field: getattr(args, field) for field in given.values()})
+    except ValueError as exc:  # name each given flag whose field the failed check names
+        flags = ", ".join(flag for flag, field in given.items() if field in str(exc))
+        raise ValueError(f"{flags}: {exc}") from None
     ds = synth.generate_cohort(cfg)
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / "dataset.csv"
@@ -154,9 +162,17 @@ _COMMANDS = {
 }
 
 
+def _check_out(out: Path) -> None:
+    """Refuse an ``--out`` that is, or lies under, an existing non-directory."""
+    nearest = next(p for p in (out, *out.parents) if p.exists())  # "/" or "." at the latest
+    if not nearest.is_dir():
+        raise ValueError(f"--out: {nearest} exists and is not a directory")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_out(args.out)  # before any input is read
         return _COMMANDS[args.command](args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"leakaudit {args.command}: error: {exc}", file=sys.stderr)

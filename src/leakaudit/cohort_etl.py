@@ -121,6 +121,13 @@ class CohortConfig:
             raise ValueError("age_cutoff_years must be finite")
         if not self.icd9_prefixes:
             raise ValueError("at least one ICD-9 prefix is required")
+        seen: dict[str, str] = {}  # normalised key -> the key it came from
+        for kind, keys in (("medication", self.medication_keys), ("lab", self.lab_keys)):
+            for k in keys:
+                if (norm := _normalize_key(k)) in seen:
+                    raise ValueError(f"duplicate feature key: {kind} key {k!r} matches "
+                                     f"{seen[norm]} once lowercased without spaces")
+                seen[norm] = f"{kind} key {k!r}"
 
 
 @dataclass(frozen=True)
@@ -329,11 +336,6 @@ def build_dataset(cohort: tuple[CohortRow, ...], tables: RawTables, cfg: CohortC
     """
     med_keys = [_normalize_key(k) for k in cfg.medication_keys]
     lab_keys = [_normalize_key(k) for k in cfg.lab_keys]
-    seen: set[str] = set()
-    for k in med_keys + lab_keys:
-        if k in seen:
-            raise ValueError(f"duplicate feature key {k!r}; medication and lab keys must be disjoint")
-        seen.add(k)
 
     # pass 2: stream each event table once, keeping cohort subjects only
     subjects = {r.subject_id for r in cohort}

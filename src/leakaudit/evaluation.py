@@ -72,12 +72,8 @@ def stratified_kfold(labels, k: int, seed: int) -> FoldPlan:
     minority = min(len(idx) for idx in groups)
     warnings = () if k <= minority else (
         f"k={k} exceeds the minority count ({minority}); some folds have no minority rows",)
-
-    folds: list[list[int]] = [[] for _ in range(k)]
-    for idx in groups:
-        for pos, row in enumerate(idx):
-            folds[pos % k].append(int(row))
-    return FoldPlan(folds=tuple(tuple(sorted(f)) for f in folds), warnings=warnings)
+    folds = (np.sort(np.concatenate([idx[f::k] for idx in groups])) for f in range(k))
+    return FoldPlan(folds=tuple(tuple(f.tolist()) for f in folds), warnings=warnings)
 
 
 def stratified_holdout(labels, test_fraction: float, seed: int) -> FoldPlan:

@@ -4,7 +4,9 @@ Axis-aligned trees, greedy Gini splits over a per-node random feature
 subset, bootstrap resampling per tree.  Scores are the mean over trees of
 the positive-class fraction in the reached leaf.  Growth and prediction both
 move a row from node i to ``left[i] + (x[feature[i]] > threshold[i])``; a
-leaf (feature -1, threshold +inf) is its own ``left``.
+leaf (feature -1, threshold +inf) is its own ``left``.  The model keeps the
+nodes in growth's level order: tree t's root is node t and each child comes
+after its parent; ``ForestModel.trees`` numbers children within each tree.
 
 All trees grow together, one depth level per pass, as in presorted
 level-wise split search (SLIQ): each feature is ranked once, and a level's
@@ -62,15 +64,18 @@ class _Nodes(NamedTuple):
 
 @dataclass(frozen=True)
 class ForestModel:
-    nodes: _Nodes  # every tree's, tree t at offsets[t]:offsets[t + 1] with its root first
-    offsets: np.ndarray
+    nodes: _Nodes  # every tree's, in level order: tree t's root is node t
+    node_tree: np.ndarray  # the tree each node belongs to
     columns: tuple[Column, ...]
 
     @property
     def trees(self) -> tuple[_Nodes, ...]:
-        """Each tree's slice of ``nodes``; its children keep their forest-wide indices."""
-        return tuple(_Nodes(*(a[s:e] for a in self.nodes))
-                     for s, e in zip(self.offsets[:-1], self.offsets[1:]))
+        """Each tree's nodes in level order, its children numbered within the tree."""
+        order = np.argsort(self.node_tree, kind="stable")  # by tree, level order within
+        ends = np.cumsum(np.bincount(self.node_tree))
+        within = np.argsort(order) - np.r_[0, ends[:-1]][self.node_tree]  # index within its tree
+        nodes = self.nodes._replace(left=within[self.nodes.left])
+        return tuple(map(_Nodes, *(np.split(a[order], ends[:-1]) for a in nodes)))
 
 
 def _mix(key: np.ndarray, salt: np.ndarray) -> np.ndarray:
@@ -228,13 +233,7 @@ def train_forest(ds: Dataset, rows, cfg: ForestConfig) -> ForestModel:
     p = x.shape[1]
     mtry = cfg.mtry if cfg.mtry is not None else max(1, int(np.sqrt(p)))
     node_tree, *nodes = _grow_forest(x, y, cfg, min(mtry, p))
-    # regroup the level-ordered nodes by tree and renumber the children to match
-    order = np.argsort(node_tree, kind="stable")
-    feature, threshold, left, value = (a[order] for a in nodes)
-    offsets = np.searchsorted(node_tree[order], np.arange(cfg.n_trees + 1))
-    return ForestModel(_Nodes(feature.astype(np.int32), threshold,
-                              np.argsort(order)[left].astype(np.int32), value),
-                       offsets.astype(np.int32), ds.columns)
+    return ForestModel(_Nodes(*nodes), node_tree, ds.columns)
 
 
 def predict_proba(model: ForestModel, ds: Dataset, rows) -> np.ndarray:
@@ -247,7 +246,7 @@ def predict_proba(model: ForestModel, ds: Dataset, rows) -> np.ndarray:
         raise ValueError("evaluation rows contain missing cells; impute first")
     # walk every tree at once; a row that reached its leaf stays there
     nodes = model.nodes
-    node = np.repeat(model.offsets[:-1, None], len(x), axis=1)
+    node = np.repeat(np.arange(model.node_tree.max() + 1)[:, None], len(x), axis=1)
     col = np.arange(len(x))
     while (nodes.feature[node] >= 0).any():
         node = _step(x, col, nodes.feature, nodes.threshold, nodes.left, node)

@@ -27,12 +27,14 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # each message names every field its check reads: the CLI maps them to flags
         if not 0 < self.n_minority < self.n_total:
             raise ValueError("need 0 < n_minority < n_total")
+        for name in ("n_binary_features", "n_numeric_features", "n_informative"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
         if self.n_informative > self.n_binary_features + self.n_numeric_features:
-            raise ValueError("n_informative exceeds the feature count")
-        if self.n_informative < 0 or self.n_binary_features < 0 or self.n_numeric_features < 0:
-            raise ValueError("feature counts must be non-negative")
+            raise ValueError("n_informative exceeds n_binary_features + n_numeric_features")
         if not 0 <= self.missing_rate < 1:
             raise ValueError("missing_rate must be in [0, 1)")
         if not 0 <= self.signal_strength < math.inf:

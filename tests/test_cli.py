@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from leakaudit.cli import main
+from leakaudit.config import parse_config
 from leakaudit.tabular import read_dataset
 
 
@@ -26,6 +27,38 @@ def test_synth_invalid_config_exits_nonzero(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["--signal", "nan"], "--signal: signal_strength must be non-negative and finite"),
+    (["--missing-rate", "1"], "--missing-rate: missing_rate must be in [0, 1)"),
+    (["--n-binary", "-1"], "--n-binary: n_binary_features must be non-negative"),
+    (["--n-minority", "5", "--n-total", "5"],
+     "--n-total, --n-minority: need 0 < n_minority < n_total"),
+    (["--n-binary", "0", "--n-numeric", "1", "--seed", "3"], "--n-binary, --n-numeric: "
+     "n_informative exceeds n_binary_features + n_numeric_features"),
+], ids=["signal", "missing-rate", "n-binary", "n-total-and-n-minority", "feature-counts"])
+def test_synth_flag_error_names_the_flag(argv, error, tmp_path, capsys):
+    assert main(["synth", *argv, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert f"leakaudit synth: error: {error}\n" == err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+@pytest.mark.parametrize("command", ["run", "etl", "synth", "report"])
+def test_out_that_is_not_a_directory_fails_before_any_input_is_read(command, under, tmp_path,
+                                                                   capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    absent = tmp_path / "absent"  # an input that would fail if it were read
+    inputs = {"run": ["--data", str(absent)], "etl": ["--data-dir", str(absent)],
+              "synth": [], "report": [str(absent)]}[command]
+    out = taken / "o" if under else taken
+    assert main([command, *inputs, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: --out: {taken} exists and is not a directory" in err
+    assert taken.read_text() == "kept\n" and list(tmp_path.iterdir()) == [taken]
+
+
 def test_etl_on_demo_fixture(tmp_path, capsys, mimic_demo_dir, mimic_demo_cfg):
     out = tmp_path / "etl"
     rc = main(["etl", "--data-dir", str(mimic_demo_dir),
@@ -41,6 +74,17 @@ def test_etl_missing_table_diagnostic(tmp_path, capsys):
     rc = main(["etl", "--data-dir", str(tmp_path), "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "ADMISSIONS" in capsys.readouterr().err
+
+
+def test_etl_duplicate_feature_keys_fail_before_any_table_is_read(tmp_path, capsys):
+    cfg = tmp_path / "dup.cfg"
+    cfg.write_text("features.medications = heparin\nfeatures.labs = glucose, HEP ARIN\n")
+    rc = main(["etl", "--data-dir", str(tmp_path / "absent"), "--config", str(cfg),
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert ("error: duplicate feature key: lab key 'HEP ARIN' matches medication key 'heparin' "
+            "once lowercased without spaces") in err and "ADMISSIONS" not in err
 
 
 def test_etl_table_file_naming_a_directory_is_missing(tmp_path, capsys):
@@ -138,6 +182,15 @@ def test_input_path_that_names_no_file_is_not_found(target, noun, kind, tmp_path
     assert main([*argv, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert f"{noun} file not found: {path}" in err and "Errno" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text, value", [("yes", True), ("On", True), ("1", True),
+                                         ("no", False), ("FALSE", False), ("0", False)])
+def test_boolean_config_value(text, value, tmp_path):
+    cfg = tmp_path / "bool.cfg"
+    cfg.write_text(f"forest.bootstrap = {text}\n")
+    assert parse_config(cfg) == {"forest.bootstrap": value}
 
 
 def test_run_malformed_sidecar_names_it(tmp_path, capsys):
@@ -187,6 +240,9 @@ def test_config_file_overrides_and_cli_wins(tmp_path):
      "'cohort.los_threshold_days': los_threshold_days must be positive and finite"),
     ("etl", "cohort.age_cutoff_years = nan",
      "bad value for config key 'cohort.age_cutoff_years': age_cutoff_years must be finite"),
+    ("etl", "features.medications = heparin, Hep arin",
+     "bad value for config key 'features.medications': duplicate feature key: medication "
+     "key 'Hep arin' matches medication key 'heparin' once lowercased without spaces"),
 ])
 def test_config_error_names_file_line_and_key(command, line, error, tmp_path, capsys,
                                               mimic_demo_dir, mimic_demo_cfg):
@@ -249,6 +305,7 @@ def test_report_rerender_roundtrip(tmp_path):
     '"std_auroc": false}]}',
     '{"config": {}, "dataset_fingerprint": {}, "setups": [{"name": "x", "mean_auroc": NaN, '
     '"std_auroc": 0}]}',
+    '{"dataset_fingerprint": {}, "setups": [{"name": "x", "mean_auroc": 0.5, "std_auroc": 0}]}',
 ])
 def test_report_rejects_malformed_payload(text, tmp_path, capsys):
     src = tmp_path / "in.json"

@@ -445,8 +445,11 @@ def test_binary_columns_contain_only_01(demo_dataset):
     assert (demo_dataset.parents == -1).all()
 
 
-def test_duplicate_feature_keys_rejected(demo_cohort, demo_tables):
+def test_duplicate_feature_keys_rejected():
     import dataclasses
-    dup = dataclasses.replace(DEMO_CFG, lab_keys=("glucose", "heparin"))
-    with pytest.raises(ValueError, match="duplicate"):
-        build_dataset(demo_cohort, demo_tables, dup)
+    with pytest.raises(ValueError, match="^duplicate feature key: lab key 'heparin' matches "
+                                         "medication key 'heparin' once lowercased"):
+        dataclasses.replace(DEMO_CFG, lab_keys=("glucose", "heparin"))
+    with pytest.raises(ValueError, match="^duplicate feature key: medication key 'Hep arin' "
+                                         "matches medication key 'heparin' once lowercased"):
+        CohortConfig(medication_keys=("heparin", "Hep arin"))

@@ -45,6 +45,15 @@ def test_k_larger_than_n_rejected():
         stratified_kfold([0, 1, 0, 1], 13, seed=0)
 
 
+@pytest.mark.parametrize("labels, k, match", [
+    ([0, 1, 0, 1], 1, "k must be at least 2"),
+    ([1, 1, 1, 1], 2, "stratification requires at least two classes"),
+], ids=["k-below-two", "one-class"])
+def test_kfold_rejects_an_unplannable_request(labels, k, match):
+    with pytest.raises(ValueError, match=match):
+        stratified_kfold(labels, k, seed=0)
+
+
 def test_k_above_minority_records_warning():
     plan = stratified_kfold([1, 1, 0, 0, 0, 0, 0, 0], 4, seed=1)
     assert plan.warnings and "minority" in plan.warnings[0]
@@ -164,6 +173,12 @@ def test_label_flip_complements():
 
 
 # --- confusion_matrix ----------------------------------------------------
+
+@pytest.mark.parametrize("metric", [auroc, confusion_matrix])
+def test_scores_and_labels_of_unequal_length_rejected(metric):
+    with pytest.raises(ValueError, match="scores and labels must have equal length"):
+        metric([0.2, 0.8, 0.5], [0, 1])
+
 
 def test_confusion_basic():
     assert confusion_matrix([0.9, 0.1], [1, 0]) == {"tp": 1, "fp": 0, "tn": 1, "fn": 0}

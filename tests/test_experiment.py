@@ -116,6 +116,16 @@ def test_leaky_preparation_failure_skips_the_repeat(setup):
         f"repeat {r}: column 'num_09' is fully missing within the fit rows" for r in range(2))
 
 
+@pytest.mark.parametrize("settings, match", [
+    (dict(setup="after"), "unknown setup 'after'"),
+    (dict(holdout_test_fraction=0.0), r"holdout_test_fraction must be in \(0, 1\)"),
+    (dict(holdout_test_fraction=1.0), r"holdout_test_fraction must be in \(0, 1\)"),
+], ids=["unknown-setup", "fraction-zero", "fraction-one"])
+def test_run_config_rejects_bad_settings(settings, match):
+    with pytest.raises(ValueError, match=match):
+        RunConfig(**settings)
+
+
 def test_mixed_provenance_input_rejected(cohort):
     from leakaudit.resampling import adasyn
     from leakaudit.tabular import apply_imputer, fit_imputer

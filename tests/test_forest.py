@@ -234,7 +234,7 @@ def test_pass_size_does_not_change_the_model(monkeypatch):
     default = train_forest(ds, range(60), cfg)
     monkeypatch.setattr(forest, "_PAIRS_PER_PASS", 5)
     small = train_forest(ds, range(60), cfg)
-    for a, b in zip([*default.nodes, default.offsets], [*small.nodes, small.offsets],
+    for a, b in zip([*default.nodes, default.node_tree], [*small.nodes, small.node_tree],
                     strict=True):
         np.testing.assert_array_equal(a, b)
 

@@ -29,6 +29,16 @@ def test_allocate_unnormalized_rejected():
         allocate_counts([0.5, 0.6], 3)
 
 
+@pytest.mark.parametrize("weights, match", [
+    ([np.nan, 1.0], "weights must be finite"),
+    ([np.inf, 0.0], "weights must be finite"),
+    ([-0.5, 1.5], "weights must be non-negative"),
+], ids=["nan", "inf", "negative"])
+def test_allocate_rejects_non_finite_and_negative_weights(weights, match):
+    with pytest.raises(ValueError, match=match):
+        allocate_counts(weights, 3)
+
+
 @given(st.lists(st.floats(min_value=0.01, max_value=10.0), min_size=1, max_size=12),
        st.integers(min_value=0, max_value=200))
 def test_allocate_sums_to_total_and_respects_floor(raw, total):

@@ -91,6 +91,9 @@ def test_informative_slots_past_the_numeric_columns_shift_binary_columns():
     dict(n_total=10, n_minority=3, signal_strength=-0.1),
     dict(n_total=10, n_minority=3, signal_strength=float("nan")),
     dict(n_total=10, n_minority=3, signal_strength=float("inf")),
+    dict(n_total=10, n_minority=3, n_binary_features=-1),
+    dict(n_total=10, n_minority=3, n_numeric_features=-1),
+    dict(n_total=10, n_minority=3, n_informative=-1),
 ])
 def test_invalid_configs_rejected(bad):
     with pytest.raises(ValueError):

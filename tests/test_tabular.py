@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from leakaudit.tabular import (BINARY, Column, Dataset, NUMERIC, apply_imputer,
+from leakaudit.tabular import (BINARY, Column, Dataset, ImputerModel, NUMERIC, apply_imputer,
                                fit_imputer, read_dataset, write_dataset)
 
 from conftest import make_dataset
@@ -22,7 +22,8 @@ def test_dataset_validates_labels():
     ([0.7, 1.2], "y must hold integers, got 0.7"),
     ([np.nan, 1], "y must hold integers, got nan"),
     ([np.inf, 1], "y must hold integers, got inf"),
-], ids=["fractional", "nan", "inf"])
+    (["0", "1"], "y must hold integers, got dtype <U1"),
+], ids=["fractional", "nan", "inf", "strings"])
 def test_dataset_rejects_non_integral_labels(y, match):
     with pytest.raises(ValueError, match=match):
         make_dataset([[0.0], [1.0]], y)
@@ -33,6 +34,15 @@ def test_dataset_shape_mismatch():
     with pytest.raises(ValueError):
         Dataset(columns=(Column("a", NUMERIC),), x=np.zeros((3, 1)),
                 y=np.zeros(2, dtype=int))
+
+
+@pytest.mark.parametrize("x, match", [
+    (np.zeros(2), "^x must be a 2-D matrix$"),
+    (np.zeros((2, 2)), "^1 columns declared for 2-wide matrix$"),
+], ids=["one-dimensional", "column-count"])
+def test_dataset_rejects_a_matrix_its_columns_do_not_describe(x, match):
+    with pytest.raises(ValueError, match=match):
+        Dataset(columns=(Column("a", NUMERIC),), x=x, y=np.zeros(2, dtype=int))
 
 
 def test_dataset_rejects_a_repeated_column_name():
@@ -108,6 +118,18 @@ def test_apply_is_idempotent():
     once = apply_imputer(ds, model)
     twice = apply_imputer(once, model)
     np.testing.assert_array_equal(once.x, twice.x)
+
+
+@pytest.mark.parametrize("fill, match", [
+    ([0.0], "one fill value per column required"),
+    ([[0.0, 1.0]], "one fill value per column required"),
+    ([0.0, np.nan], "fill values must be finite"),
+    ([np.inf, 0.0], "fill values must be finite"),
+], ids=["too-few", "two-dimensional", "nan", "inf"])
+def test_imputer_model_rejects_a_malformed_fill(fill, match):
+    columns = (Column("a", NUMERIC), Column("b", BINARY))
+    with pytest.raises(ValueError, match=match):
+        ImputerModel(columns=columns, fill=fill)
 
 
 def test_apply_rejects_column_mismatch():

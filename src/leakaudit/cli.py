@@ -50,10 +50,20 @@ _SYNTH_FLAGS = {
 _SETUP_ALIASES = {setup.flag: name for name, setup in SETUPS.items()}
 
 
+class _UsageError(Exception):
+    """A command line argparse rejects, with its message."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse prints usage and exits 2 here; raising lets main report the
+    # message on one line and return 1.  Subparsers share this class
+    def error(self, message):
+        raise _UsageError(f"{self.prog}: error: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="leakaudit",
-                                     description="Audit oversampling/imputation leakage "
-                                                 "in imbalanced-classification pipelines.")
+    parser = _Parser(prog="leakaudit", description="Audit oversampling/imputation leakage "
+                                                   "in imbalanced-classification pipelines.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     # flags without a default: a setting left out keeps its SynthConfig default
@@ -170,7 +180,11 @@ def _check_out(out: Path) -> None:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 1
     try:
         _check_out(args.out)  # before any input is read
         return _COMMANDS[args.command](args)

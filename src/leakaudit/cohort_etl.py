@@ -146,7 +146,7 @@ def _parse_float(cell: str) -> float | None:
         v = float(cell)
     except ValueError:
         return None
-    return v if np.isfinite(v) else None
+    return v if math.isfinite(v) else None
 
 
 def _parse_time(cell: str) -> datetime | None:
@@ -193,12 +193,12 @@ def _columns(directory: Path, table: str, colmap: dict) -> tuple[Path, dict[str,
 
 
 def _read_rows(path: Path, columns: dict[str, int], subjects: set[str] | None = None):
-    """Yield one dict per CSV row, keyed by field name, of its stripped cells,
-    those of :data:`_PARSERS` parsed.  A blank line is no row, and a short
-    row's missing cells are empty.  With ``subjects``, a row whose stripped
-    subject cell is not in it is dropped before its dict is built.
+    """Yield one dict per CSV row, keyed by field name: each kept cell is stripped
+    and parsed once, as the row is built, by its :data:`_PARSERS` entry or as
+    text.  A blank line is no row; a short row's missing cells are empty.  With
+    ``subjects``, a row whose stripped subject cell is not in it is dropped unparsed.
     """
-    parsers = [(key, _PARSERS[key]) for key in columns if key in _PARSERS]
+    fields = [(key, j, _PARSERS.get(key, str)) for key, j in columns.items()]
     subject, width = columns["subject_id"], max(columns.values()) + 1
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -207,10 +207,7 @@ def _read_rows(path: Path, columns: dict[str, int], subjects: set[str] | None = 
             if len(cells) < width:
                 cells += [""] * (width - len(cells))
             if subjects is None or cells[subject].strip() in subjects:
-                row = {key: cells[j].strip() for key, j in columns.items()}
-                for key, parse in parsers:
-                    row[key] = parse(row[key])
-                yield row
+                yield {key: parse(cells[j].strip()) for key, j, parse in fields}
 
 
 def load_tables(directory, schema: dict | None = None) -> RawTables:

@@ -187,7 +187,7 @@ def _format_cell(v: float) -> str:
         return ""
     if v == int(v):
         return str(int(v))
-    return repr(float(v))  # full precision for an exact round-trip
+    return repr(v)  # full precision for an exact round-trip
 
 
 def write_dataset(ds: Dataset, csv_path) -> None:
@@ -200,10 +200,8 @@ def write_dataset(ds: Dataset, csv_path) -> None:
     with open(csv_path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(ds.column_names + [LABEL_COLUMN])
-        for i in range(ds.n_rows):
-            row = [_format_cell(v) for v in ds.x[i]]
-            row.append(str(int(ds.y[i])))
-            w.writerow(row)
+        for row, label in zip(ds.x, ds.y.tolist()):
+            w.writerow([*map(_format_cell, row.tolist()), label])
     sidecar = {
         "columns": [{"name": c.name, "kind": c.kind} for c in ds.columns],
         "counts": ds.fingerprint(),

@@ -276,6 +276,31 @@ def test_run_flag_error_names_the_flag(flag, value, error, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["synth", "--seed", "x", "--out", "OUT"],
+     "leakaudit synth: error: argument --seed: invalid int value: 'x'"),
+    (["run", "--data", "d.csv", "--setup", "iv", "--out", "OUT"],
+     "leakaudit run: error: argument --setup: invalid choice: 'iv'"),
+    (["etl", "--data-dir", "d"], "leakaudit etl: error: the following arguments are required: "
+     "--out"),
+    (["bogus", "--out", "OUT"], "leakaudit: error: argument command: invalid choice: 'bogus'"),
+    (["synth", "--bogus", "1", "--out", "OUT"],
+     "leakaudit: error: unrecognized arguments: --bogus 1"),
+], ids=["type", "choice", "missing", "command", "unknown-flag"])
+def test_every_argparse_error_exits_1_on_one_line(argv, error, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main([str(out) if arg == "OUT" else arg for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(error) and captured.err.count("\n") == 1
+    assert captured.out == "" and not out.exists()
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["synth", "--help"])
+    assert exit_.value.code == 0 and "usage: leakaudit synth" in capsys.readouterr().out
+
+
 def test_report_rerender_roundtrip(tmp_path):
     data = tmp_path / "d"
     main(["synth", "--n-total", "36", "--n-minority", "6", "--seed", "8",

@@ -11,6 +11,12 @@ audit runs each setup's own steps, seed labels and plan.
 The contamination flags cannot replace this audit: they look for synthetic
 rows and surplus class members in an evaluation fold, and an imputation leak
 makes neither.
+
+Two more checks pin where the AUROC gap comes from.  A nearest-neighbour
+oracle (``nn_oracle``), which trains no model, scores the leaky setups near 1
+on the same splits, so a forest change cannot fake or hide the leak.  And with
+nothing to impute or oversample, the three cross-validated setups agree fold
+for fold, so nothing in the runner but the two steps tells them apart.
 """
 
 import numpy as np
@@ -18,11 +24,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from leakaudit import experiment
+from leakaudit.evaluation import auroc
 from leakaudit.experiment import (SETUP_AFTER, SETUP_BEFORE, SETUP_LEAKY_HOLDOUT,
                                   SETUP_NO_OVERSAMPLING, SETUPS, RunConfig, run_experiment)
 from leakaudit.forest import ForestConfig
+from leakaudit.resampling import AdasynConfig
 from leakaudit.synth import SynthConfig, generate_cohort
 from leakaudit.tabular import BINARY, Dataset
+
+from nn_oracle import nn_scores
 
 # the paper's claim: which setups train on their own evaluation rows
 LEAKS = {SETUP_AFTER: False, SETUP_NO_OVERSAMPLING: False, SETUP_BEFORE: True,
@@ -90,3 +100,38 @@ def test_audit_catches_imputation_before_the_split(seed, monkeypatch):
     monkeypatch.setitem(SETUPS, SETUP_AFTER, IMPUTE_BEFORE)
     folds = run_experiment(leaky, cfg).setup.folds
     assert folds and not any(fold.contamination.flagged for fold in folds)
+
+
+def _oracle_auroc(ds: Dataset, cfg: RunConfig) -> float:
+    """Mean AUROC of the nearest-neighbour oracle over the setup's own splits."""
+    return float(np.mean([
+        auroc(nn_scores(train_ds.x[train], train_ds.y[train], eval_ds.x[test]), eval_ds.y[test])
+        for _r, _f, _where, test, train_ds, train, eval_ds
+        in experiment._splits(ds, cfg, SETUPS[cfg.setup], [])]))
+
+
+# Seeds 0-9 measured: leaky setups >= 0.999 on both cohorts; the honest ones
+# average 0.761 and 0.734 (at most 0.903) with signal, 0.412 and 0.402 without
+@pytest.mark.parametrize("cohort, honest_mean", [({}, 0.85), ({"signal_strength": 0.0}, 0.6)],
+                         ids=["default", "signal-free"])
+def test_nearest_neighbour_oracle_scores_only_the_leaky_setups_near_1(cohort, honest_mean):
+    cohorts = [generate_cohort(SynthConfig(seed=seed, **cohort)) for seed in range(10)]
+    for name in SETUPS:
+        per_seed = [_oracle_auroc(ds, RunConfig(setup=name, master_seed=seed))
+                    for seed, ds in enumerate(cohorts)]
+        if LEAKS[name]:
+            assert min(per_seed) >= 0.99, (name, per_seed)
+        else:
+            assert np.mean(per_seed) <= honest_mean and max(per_seed) < 0.99, (name, per_seed)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_with_nothing_to_impute_or_oversample_the_cv_setups_agree(seed):
+    ds = generate_cohort(SynthConfig(missing_rate=0.0, seed=seed))
+    reports = [run_experiment(ds, RunConfig(setup=name, master_seed=seed,
+                                            adasyn=AdasynConfig(beta=0.0),
+                                            forest=ForestConfig(n_trees=10))).setup
+               for name in (SETUP_AFTER, SETUP_NO_OVERSAMPLING, SETUP_BEFORE)]
+    assert reports[0].folds
+    for rep in reports[1:]:
+        assert (rep.folds, rep.skipped) == (reports[0].folds, reports[0].skipped), rep.name

@@ -146,7 +146,7 @@ def _cmd_run(args) -> int:
     reports = [run_experiment(ds, _run_config(values, setup)) for setup in setups]
     paths = render_report(reports, args.out)
     print(f"wrote {paths['json']} and {paths['markdown']}")
-    with open(paths["markdown"]) as fh:
+    with open(paths["markdown"], encoding="utf-8") as fh:
         print(fh.read(), end="")
     return 0
 
@@ -155,7 +155,7 @@ def _cmd_report(args) -> int:
     if not args.report_json.is_file():
         raise FileNotFoundError(f"report file not found: {args.report_json}")
     try:
-        with open(args.report_json) as fh:
+        with open(args.report_json, encoding="utf-8") as fh:
             payload = json.load(fh)
         paths = render_payload(payload, args.out)
     except ValueError as exc:  # malformed JSON or payload; json.JSONDecodeError is one

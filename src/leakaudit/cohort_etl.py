@@ -182,7 +182,7 @@ def _columns(directory: Path, table: str, colmap: dict) -> tuple[Path, dict[str,
     path = directory / colmap["file"]
     if not path.is_file():
         raise FileNotFoundError(f"{table.upper()}: file {colmap['file']!r} not found in {directory}")
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         header = next(csv.reader(fh), [])
     position = {column: j for j, column in enumerate(header)}
     fields = {key: column for key, column in colmap.items() if key != "file"}
@@ -200,7 +200,7 @@ def _read_rows(path: Path, columns: dict[str, int], subjects: set[str] | None = 
     """
     fields = [(key, j, _PARSERS.get(key, str)) for key, j in columns.items()]
     subject, width = columns["subject_id"], max(columns.values()) + 1
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader, None)  # the header
         for cells in filter(None, reader):
@@ -236,7 +236,7 @@ def load_tables(directory, schema: dict | None = None) -> RawTables:
 
 def _id_key(s: str):
     # numeric ids compare numerically, anything else lexically
-    return (0, int(s), "") if s.isdigit() else (1, 0, s)
+    return (0, int(s), "") if s.isdecimal() else (1, 0, s)
 
 
 def _stay_los(stay: dict) -> float | None:

@@ -87,7 +87,7 @@ def parse_config(path) -> dict:
     if not path.is_file():
         raise FileNotFoundError(f"config file not found: {path}")
     values: dict = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -265,7 +265,7 @@ def render_payload(payload: dict, out_dir) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     json_path = out_dir / "report.json"
-    with open(json_path, "w") as fh:
+    with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -274,7 +274,7 @@ def render_payload(payload: dict, out_dir) -> dict:
         label = SETUPS[s["name"]].label if s["name"] in SETUPS else s["name"]
         lines.append(f"| {label} | {_format_pct(s['mean_auroc'], s['std_auroc'])} |")
     md_path = out_dir / "report.md"
-    md_path.write_text("\n".join(lines) + "\n")
+    md_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return {"json": json_path, "markdown": md_path}
 
 

@@ -167,23 +167,6 @@ def _bootstrap(n: int, seeds: list[int], bootstrap: bool):
     return tree, row, counts[tree, row].astype(np.float64)
 
 
-# the level loop calls these two so that their instance-sized temporaries are
-# freed before the next level's split search
-
-def _select(keep, node, row, w):
-    """The instances where ``keep`` holds."""
-    return node[keep], row[keep], w[keep]
-
-
-def _route(x, has, left, feature, threshold, node, row, w):
-    """Send the instances of split nodes to their children, grouped by child;
-    ``left`` numbers each node's left child within the next level."""
-    node, row, w = _select(has[node], node, row, w)
-    child = _step(x, row, feature, threshold, left, node)
-    order = np.argsort(child, kind="stable")
-    return child[order], row[order], w[order]
-
-
 def _grow_forest(x, y, cfg: ForestConfig, mtry: int):
     """Grow every tree together, one depth level per pass.
 
@@ -205,16 +188,21 @@ def _grow_forest(x, y, cfg: ForestConfig, mtry: int):
         split = (pos > 0) & (pos < size) & (size >= 2 * cfg.min_leaf)
         split &= cfg.max_depth is None or depth < cfg.max_depth
         feature, threshold = np.full(m, -1), np.full(m, np.inf)
-        s = np.flatnonzero(split)
-        node, row, w = _select(split[node], node, row, w)
-        if s.size and p:  # with no feature, every node is a leaf
-            feature[s], threshold[s] = _best_splits(x, y, ranks, (np.cumsum(split) - 1)[node],
-                                                    row, w, size[s], pos[s], keys[s], mtry,
-                                                    cfg.min_leaf)
+        keep = split[node]
+        node, row, w = node[keep], row[keep], w[keep]
+        if split.any() and p:  # with no feature, every node is a leaf
+            feature[split], threshold[split] = _best_splits(
+                x, y, ranks, (np.cumsum(split) - 1)[node], row, w, size[split], pos[split],
+                keys[split], mtry, cfg.min_leaf)
         has = feature >= 0
         left = np.where(has, off + m + 2 * (np.cumsum(has) - 1), off + np.arange(m))
         levels.append((node_tree, feature, threshold, left, pos / size))
-        node, row, w = _route(x, has, left - off - m, feature, threshold, node, row, w)
+        # send the split nodes' instances to their children, grouped by child
+        keep = has[node]
+        node, row, w = node[keep], row[keep], w[keep]
+        child = _step(x, row, feature, threshold, left - off - m, node)
+        order = np.argsort(child, kind="stable")
+        node, row, w = child[order], row[order], w[order]
         keys = _mix(keys[has, None], np.arange(2, dtype=np.uint64)).ravel()
         node_tree = np.repeat(node_tree[has], 2)
         off, depth = off + m, depth + 1

@@ -106,7 +106,7 @@ def adasyn(ds: Dataset, rows, cfg: AdasynConfig) -> Dataset:
 
     parents = ds.parents[rows]
     if g_total == 0:
-        return Dataset(columns=ds.columns, x=x.copy(), y=y.copy(), parents=parents)
+        return Dataset(columns=ds.columns, x=x, y=y, parents=parents)
 
     is_min = y == minority_label
     minority_idx = np.flatnonzero(is_min)
@@ -138,10 +138,7 @@ def adasyn(ds: Dataset, rows, cfg: AdasynConfig) -> Dataset:
     partner_rows = partners[seed_of, rng.integers(0, k_min, size=g_total)]
     lam = rng.random(g_total)
     seed_rows = minority_idx[seed_of]
-    # seed + lam * (partner - seed), in place to spare three (G, p) temporaries
-    samples = x[partner_rows] - x[seed_rows]
-    samples *= lam[:, None]
-    samples += x[seed_rows]
+    samples = x[seed_rows] + lam[:, None] * (x[partner_rows] - x[seed_rows])
     binary_cols = np.array([c.kind == BINARY for c in ds.columns], dtype=bool)
     samples[:, binary_cols] = samples[:, binary_cols] >= 0.5
 

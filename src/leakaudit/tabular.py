@@ -174,7 +174,7 @@ def apply_imputer(ds: Dataset, model: ImputerModel) -> Dataset:
     if tuple(model.columns) != tuple(ds.columns):
         raise ValueError("imputer columns do not match dataset columns")
     x = np.where(np.isnan(ds.x), model.fill, ds.x)
-    return Dataset(columns=ds.columns, x=x, y=ds.y.copy(), parents=ds.parents.copy())
+    return Dataset(columns=ds.columns, x=x, y=ds.y, parents=ds.parents)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +197,7 @@ def write_dataset(ds: Dataset, csv_path) -> None:
     class counts so a round-trip read restores exact column kinds.
     """
     csv_path = Path(csv_path)
-    with open(csv_path, "w", newline="") as fh:
+    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(ds.column_names + [LABEL_COLUMN])
         for row, label in zip(ds.x, ds.y.tolist()):
@@ -206,7 +206,7 @@ def write_dataset(ds: Dataset, csv_path) -> None:
         "columns": [{"name": c.name, "kind": c.kind} for c in ds.columns],
         "counts": ds.fingerprint(),
     }
-    with open(csv_path.with_suffix(".json"), "w") as fh:
+    with open(csv_path.with_suffix(".json"), "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -239,7 +239,7 @@ def read_dataset(csv_path) -> Dataset:
     csv_path = Path(csv_path)
     if not csv_path.is_file():
         raise FileNotFoundError(f"dataset file not found: {csv_path}")
-    with open(csv_path, newline="") as fh:
+    with open(csv_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -257,7 +257,7 @@ def read_dataset(csv_path) -> Dataset:
     columns = None  # without a sidecar, kinds are inferred once the cells are read
     if sidecar_path.is_file():
         try:
-            with open(sidecar_path) as fh:
+            with open(sidecar_path, encoding="utf-8") as fh:
                 declared = {c["name"]: c["kind"] for c in json.load(fh)["columns"]}
             missing = [nm for nm in names if nm not in declared]
             if missing:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import leakaudit
 from leakaudit.cli import main
 from leakaudit.config import parse_config
 from leakaudit.tabular import read_dataset
@@ -349,3 +354,35 @@ def test_dataset_csv_roundtrips_through_cli(tmp_path):
     ds = read_dataset(data / "dataset.csv")
     assert np.isnan(ds.x).any()  # missing cells survive the round trip
     assert ds.class_counts() == {0: 21, 1: 4}
+
+
+def _leakaudit(*argv, flags=(), env=None):
+    """Run the CLI in a fresh interpreter with ``flags`` and extra ``env``."""
+    src = str(Path(leakaudit.__file__).parents[1])
+    env = {**os.environ, **(env or {}),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys; from leakaudit.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run([sys.executable, *flags, "-c", code, *map(str, argv)], env=env,
+                          capture_output=True, text=True, encoding="utf-8")
+
+
+def test_every_file_is_utf8_whatever_the_locale(tmp_path, mimic_demo_dir, mimic_demo_cfg):
+    # report.md holds "±", which an ASCII locale's default encoding cannot write
+    data, ascii_out, utf8_out = tmp_path / "d", tmp_path / "ascii", tmp_path / "utf8"
+    ascii_run = dict(flags=["-X", "warn_default_encoding", "-W", "error::EncodingWarning"],
+                     env={"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+                          "PYTHONIOENCODING": "utf-8"})
+    run = ["run", "--data", data / "dataset.csv", "--setup", "iii", "--folds", "3",
+           "--trees", "5", "--seed", "4", "--out"]
+    for argv in (["synth", "--n-total", "30", "--n-minority", "5", "--seed", "3", "--out", data],
+                 [*run, ascii_out / "run"],
+                 ["report", ascii_out / "run" / "report.json", "--out", ascii_out / "report"],
+                 ["etl", "--data-dir", mimic_demo_dir, "--config", mimic_demo_cfg,
+                  "--out", ascii_out / "etl"]):
+        done = _leakaudit(*argv, **ascii_run)
+        assert done.returncode == 0, done.stderr
+    assert _leakaudit(*run, utf8_out, flags=["-X", "utf8"]).returncode == 0
+    expected = (utf8_out / "report.md").read_bytes()
+    assert "±".encode() in expected
+    assert (ascii_out / "run" / "report.md").read_bytes() == expected
+    assert (ascii_out / "report" / "report.md").read_bytes() == expected

@@ -122,10 +122,10 @@ def _copy_demo(mimic_demo_dir, tmp_path, edit):
     """The demo tables under ``tmp_path``, each CSV's rows passed through
     ``edit(file stem, header, rows) -> (header, rows)``."""
     for src in mimic_demo_dir.glob("*.csv"):
-        with open(src, newline="") as fh:
+        with open(src, newline="", encoding="utf-8") as fh:
             header, *rows = list(csv.reader(fh))
         header, rows = edit(src.stem, header, rows)
-        with open(tmp_path / src.name, "w", newline="") as fh:
+        with open(tmp_path / src.name, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh, lineterminator="\n").writerows([header, *rows])
     return tmp_path
 
@@ -167,6 +167,25 @@ def test_admission_types_differing_in_case_share_one_column(tmp_path, mimic_demo
     admtypes = [name for name in ds.column_names if name.startswith("admtype_")]
     assert admtypes == ["admtype_elective", "admtype_emergency", "admtype_urgent"]
     assert _row(ds, cohort, "9")[ds.column_names.index("admtype_emergency")] == 1.0
+
+
+def test_an_id_with_a_non_decimal_digit_compares_as_text(tmp_path, mimic_demo_dir):
+    # str.isdigit accepts "²", which int() rejects; "٣" is a decimal digit, so the number 3
+    def superscript_hadm_101(stem, header, rows):
+        if "HADM_ID" in header:
+            h = header.index("HADM_ID")
+            for row in rows:
+                if row[h] == "101":
+                    row[h] = "²01"
+        return header, rows
+
+    cohort, ds = _dataset(_copy_demo(mimic_demo_dir, tmp_path, superscript_hadm_101))
+    _, demo = _dataset(mimic_demo_dir)
+    assert [r.last_hadm_id for r in cohort if r.subject_id == "1"] == ["²01"]
+    np.testing.assert_array_equal(ds.x, demo.x)
+    np.testing.assert_array_equal(ds.y, demo.y)
+    assert cohort_etl._id_key("٣") == cohort_etl._id_key("3") < cohort_etl._id_key("10")
+    assert cohort_etl._id_key("10") < cohort_etl._id_key("²01")
 
 
 def test_schema_override_renames_columns(tmp_path, mimic_demo_dir):

@@ -56,12 +56,17 @@ def _cfg(**kw):
 
 
 def test_balanced_input_returned_exactly():
-    ds = make_dataset(np.arange(8.0).reshape(4, 2), [0, 1, 0, 1])
-    out = adasyn(ds, range(4), _cfg())
-    assert out.n_rows == 4
-    np.testing.assert_array_equal(out.x, ds.x)
-    np.testing.assert_array_equal(out.y, ds.y)
-    assert (out.parents == -1).all()
+    balanced = make_dataset(np.arange(8.0).reshape(4, 2), [0, 1, 0, 1])
+    # G = 0 at beta=0 on a subset: one minority row, K above the row count, a synthetic row
+    subset = Dataset(columns=(Column("a", NUMERIC), Column("b", NUMERIC)),
+                     x=np.arange(12.0).reshape(6, 2), y=[0, 1, 0, 0, 1, 0],
+                     parents=[[-1, -1]] * 5 + [[0, 2]])
+    for ds, rows, cfg in ((balanced, [0, 1, 2, 3], _cfg()),
+                          (subset, [5, 1, 2], _cfg(beta=0.0, k_neighbors=10))):
+        out = adasyn(ds, rows, cfg)
+        for got, source in ((out.x, ds.x), (out.y, ds.y), (out.parents, ds.parents)):
+            np.testing.assert_array_equal(got, source[rows])
+            assert not np.shares_memory(got, source)
 
 
 def test_table_counts_104_15():

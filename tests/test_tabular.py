@@ -99,6 +99,8 @@ def test_apply_without_missing_is_identity():
     out = apply_imputer(ds, fit_imputer(ds, [0, 1]))
     np.testing.assert_array_equal(out.x, ds.x)
     np.testing.assert_array_equal(out.parents, ds.parents)
+    for got, source in ((out.x, ds.x), (out.y, ds.y), (out.parents, ds.parents)):
+        assert not np.shares_memory(got, source)
 
 
 def test_apply_fills_missing_cell():

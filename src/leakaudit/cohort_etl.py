@@ -34,13 +34,14 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
 
 import numpy as np
 
-from .tabular import BINARY, NUMERIC, Column, Dataset
+from .tabular import BINARY, NUMERIC, Column, Dataset, parse_finite
 
 # Canonical MIMIC-III names of each file and of the columns extraction reads, all
 # required.  Each can be overridden through the schema map (``schema.admissions.expire_flag``).
@@ -141,31 +142,29 @@ class CohortRow:
     admission_type: str
 
 
-def _parse_float(cell: str) -> float | None:
-    try:
-        v = float(cell)
-    except ValueError:
-        return None
-    return v if math.isfinite(v) else None
+# The zone-free ISO forms that datetime.fromisoformat reads on Python 3.10; 3.11
+# on read more (``21011020``, offsets), so only these read alike on every version.
+_TIME = re.compile(r"\d{4}-\d\d-\d\d(?:.\d\d(?::\d\d(?::\d\d(?:\.\d{3}(?:\d{3})?)?)?)?)?", re.ASCII)
 
 
 def _parse_time(cell: str) -> datetime | None:
-    try:
-        t = datetime.fromisoformat(cell)
-    except ValueError:
+    if not _TIME.fullmatch(cell):
         return None
-    return t if t.tzinfo is None else None
+    try:
+        return datetime.fromisoformat(cell)
+    except ValueError:  # out of range: month 13, hour 25, ...
+        return None
 
 
 # The cells that extraction reads as times or numbers; every other cell
 # stays a stripped string.
 _PARSERS = {
     "admit_time": _parse_time,
-    "expire_flag": _parse_float,
+    "expire_flag": parse_finite,
     "in_time": _parse_time,
     "out_time": _parse_time,
-    "los": _parse_float,
-    "value_num": _parse_float,
+    "los": parse_finite,
+    "value_num": parse_finite,
     "dob": _parse_time,
 }
 
@@ -216,8 +215,9 @@ def load_tables(directory, schema: dict | None = None) -> RawTables:
     ``schema`` overrides entries of :data:`DEFAULT_SCHEMA` (table ->
     {field -> column name, "file" -> filename}); a table or field that
     :data:`DEFAULT_SCHEMA` lacks raises ``ValueError``.  The time and
-    number cells that extraction reads are parsed, unparseable ones (and
-    times with a UTC offset) becoming ``None``; row order is preserved.
+    number cells that extraction reads are parsed, unparseable ones becoming
+    ``None``; a time reads only as ``YYYY-MM-DD``, then optionally any one
+    separator and ``HH[:MM[:SS[.fff[fff]]]]``, without a zone.  Row order is preserved.
     PRESCRIPTIONS and CHARTEVENTS are only checked here (file present, every
     column in the header); their rows are read by :func:`build_dataset`.
     """
@@ -324,12 +324,13 @@ def _normalize_key(s: str) -> str:
 
 
 def build_dataset(cohort: tuple[CohortRow, ...], tables: RawTables, cfg: CohortConfig) -> Dataset:
-    """Assemble the per-patient feature matrix and LOS label.
+    """Assemble the per-patient feature matrix, one row per cohort row, and LOS label.
 
-    Column layout: one binary column per medication key, gender, the
-    age-over-cutoff flag, a one-hot over the admission types seen in the
-    cohort (lowercased, spaces dropped, an empty type read as ``unknown``;
-    sorted by that key), then one numeric mean column per lab key.
+    Each column is built beside its values, in layout order: one binary
+    column per medication key, gender, the age-over-cutoff flag, a one-hot
+    over the admission types seen in the cohort (lowercased, spaces dropped,
+    an empty type read as ``unknown``; sorted by that key), then one numeric
+    mean column per lab key, NaN for a subject without a value.
     """
     med_keys = [_normalize_key(k) for k in cfg.medication_keys]
     lab_keys = [_normalize_key(k) for k in cfg.lab_keys]
@@ -352,26 +353,17 @@ def build_dataset(cohort: tuple[CohortRow, ...], tables: RawTables, cfg: CohortC
                     labs.setdefault((e["subject_id"], k), []).append(e["value_num"])
 
     adm_keys = [_normalize_key(r.admission_type) or "unknown" for r in cohort]
-    adm_types = sorted(set(adm_keys))
-    columns = (
-        [Column(f"med_{k}", BINARY) for k in med_keys]
-        + [Column("gender_male", BINARY),
-           Column(f"age_gt_{cfg.age_cutoff_years:g}", BINARY)]
-        + [Column(f"admtype_{t}", BINARY) for t in adm_types]
-        + [Column(f"lab_{k}", NUMERIC) for k in lab_keys]
+    layout = (
+        [(Column(f"med_{k}", BINARY), [(r.subject_id, k) in meds for r in cohort])
+         for k in med_keys]
+        + [(Column("gender_male", BINARY), [r.gender.upper().startswith("M") for r in cohort]),
+           (Column(f"age_gt_{cfg.age_cutoff_years:g}", BINARY),
+            [r.age_years is not None and r.age_years > cfg.age_cutoff_years for r in cohort])]
+        + [(Column(f"admtype_{t}", BINARY), [a == t for a in adm_keys])
+           for t in sorted(set(adm_keys))]
+        + [(Column(f"lab_{k}", NUMERIC), [np.mean(labs.get((r.subject_id, k), np.nan))
+                                          for r in cohort]) for k in lab_keys]
     )
-
-    n = len(cohort)
-    x = np.full((n, len(columns)), np.nan)
-    y = np.zeros(n, dtype=np.int64)
-    for i, row in enumerate(cohort):
-        feats = [1.0 if (row.subject_id, k) in meds else 0.0 for k in med_keys]
-        feats.append(1.0 if row.gender.upper().startswith("M") else 0.0)
-        feats.append(1.0 if row.age_years is not None and row.age_years > cfg.age_cutoff_years else 0.0)
-        feats.extend(1.0 if adm_keys[i] == t else 0.0 for t in adm_types)
-        for k in lab_keys:
-            values = labs.get((row.subject_id, k))
-            feats.append(float(np.mean(values)) if values else np.nan)
-        x[i] = feats
-        y[i] = label_los(row.los, cfg.los_threshold_days)
-    return Dataset(columns=tuple(columns), x=x, y=y)
+    columns, values = zip(*layout)
+    return Dataset(columns=columns, x=np.column_stack(values),
+                   y=[label_los(r.los, cfg.los_threshold_days) for r in cohort])

@@ -1,4 +1,4 @@
-"""The three cross-validated setups and the leaky 70/30 holdout.
+"""The three cross-validated setups and the leaky holdout.
 
 A setup is one preparation step placed before or after the split.  Each
 entry of :data:`SETUPS`, the one table of setups (in report order), names its
@@ -74,7 +74,7 @@ SETUPS = {  # in report order
     SETUP_NO_OVERSAMPLING: Setup("ii", "(ii) no oversampling", None, _impute),
     SETUP_BEFORE: Setup("iii", "(iii) imputation + oversampling before partitioning",
                         _impute_and_oversample, None),
-    SETUP_LEAKY_HOLDOUT: Setup("holdout", "leaky 70/30 holdout (balanced before splitting)",
+    SETUP_LEAKY_HOLDOUT: Setup("holdout", "leaky holdout (balanced before splitting)",
                                _impute_and_oversample, None, holdout=True),
 }
 ALL_SETUPS = tuple(SETUPS)

@@ -32,6 +32,11 @@ class Column:
             raise ValueError(f"unknown column kind {self.kind!r} for {self.name!r}")
 
 
+def _zero_one(x: np.ndarray) -> np.ndarray:
+    """Per column of ``x``: whether every cell is 0, 1 or NaN."""
+    return (np.isnan(x) | (x == 0.0) | (x == 1.0)).all(axis=0)
+
+
 def _integers(values, name: str) -> np.ndarray:
     """``values`` as int64; fails naming ``name`` unless each one is an int64 value."""
     a = np.asarray(values)
@@ -86,12 +91,9 @@ class Dataset:
             raise ValueError("each row needs both parents (row numbers >= 0) or neither (-1)")
         if n and not np.isin(y, (0, 1)).all():
             raise ValueError("labels must be 0 or 1")
-        for j, col in enumerate(self.columns):
-            if col.kind == BINARY and n:
-                v = x[:, j]
-                ok = np.isnan(v) | (v == 0.0) | (v == 1.0)
-                if not ok.all():
-                    raise ValueError(f"binary column {col.name!r} has values outside {{0,1}}")
+        bad = np.array([c.kind == BINARY for c in self.columns], dtype=bool) & ~_zero_one(x)
+        if bad.any():
+            raise ValueError(f"binary column {names[bad.argmax()]!r} has values outside {{0,1}}")
 
     @property
     def synthetic(self) -> np.ndarray:
@@ -211,12 +213,18 @@ def write_dataset(ds: Dataset, csv_path) -> None:
         fh.write("\n")
 
 
-def _parse_cell(cell: str, csv_path, line: int, column: str, binary: bool) -> float:
+def parse_finite(cell: str) -> float | None:
+    """``cell`` as a float, or None unless it reads as a finite number."""
     try:
         v = float(cell)
     except ValueError:
-        v = math.nan  # text that is no number gets the same diagnostic
-    if not math.isfinite(v):
+        return None
+    return v if math.isfinite(v) else None
+
+
+def _parse_cell(cell: str, csv_path, line: int, column: str, binary: bool) -> float:
+    v = parse_finite(cell)
+    if v is None:
         problem = "is not a finite number"
     elif binary and v not in (0.0, 1.0):
         problem = "is not 0 or 1 in a binary column"
@@ -229,7 +237,8 @@ def read_dataset(csv_path) -> Dataset:
     """Read a dataset CSV written by :func:`write_dataset`.
 
     Column kinds come from the JSON sidecar when present; without one, a
-    column whose observed values are all 0/1 is treated as binary.  Every
+    column is binary when it has a filled cell and every filled cell is 0
+    or 1, else (an all-blank column too) numeric.  Every
     row is original.  A repeated header name, a feature cell that is not a
     finite number, a cell other than 0/1 in a column the sidecar declares
     binary, or a label other than 0/1, is rejected with its file, row and
@@ -285,11 +294,6 @@ def read_dataset(csv_path) -> Dataset:
         y[i] = int(row[-1])
 
     if columns is None:
-        kinds = []
-        for j in range(p):
-            v = x[:, j]
-            obs = v[~np.isnan(v)]
-            binary = obs.size > 0 and np.isin(obs, (0.0, 1.0)).all()
-            kinds.append(BINARY if binary else NUMERIC)
-        columns = tuple(Column(nm, k) for nm, k in zip(names, kinds))
+        binary = _zero_one(x) & ~np.isnan(x).all(axis=0)  # an all-blank column is numeric
+        columns = tuple(Column(nm, BINARY if b else NUMERIC) for nm, b in zip(names, binary))
     return Dataset(columns=columns, x=x, y=y)

@@ -2,6 +2,7 @@ import csv
 import math
 import re
 import tempfile
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
@@ -206,7 +207,7 @@ def test_event_rows_outside_the_cohort_are_not_parsed(tmp_path, mimic_demo_dir, 
     directory = _copy_demo(mimic_demo_dir, tmp_path, add_outsiders)
     parsed = []
     monkeypatch.setitem(cohort_etl._PARSERS, "value_num",
-                        lambda cell: parsed.append(cell) or cohort_etl._parse_float(cell))
+                        lambda cell: parsed.append(cell) or cohort_etl.parse_finite(cell))
     _, ds = _dataset(directory)
     assert len(parsed) == 8  # the demo's chart rows, all of cohort subjects
     assert ds.n_rows == len(EXPECTED_SUBJECTS)
@@ -249,6 +250,28 @@ def test_time_with_utc_offset_reads_as_missing(tmp_path, mimic_demo_dir, stem, s
     np.testing.assert_array_equal(offset.y, blank.y)
 
 
+_DAY = "2101-10-20"
+
+
+@pytest.mark.parametrize("cell, read", [
+    (_DAY, datetime(2101, 10, 20)),
+    (f"{_DAY}T19:08:44", datetime(2101, 10, 20, 19, 8, 44)),
+    (f"{_DAY} 19:08", datetime(2101, 10, 20, 19, 8)),
+    (f"{_DAY}T19:08:44.500", datetime(2101, 10, 20, 19, 8, 44, 500000)),
+    (f"{_DAY}T19:08:44.123456", datetime(2101, 10, 20, 19, 8, 44, 123456)),
+    # forms only some Python versions read, and an impossible date: missing on all
+    ("21011020", None),
+    (f"{_DAY} 19:08:44.5", None),
+    ("2101-W42-3", None),
+    ("20211020T190844", None),
+    (f"{_DAY}T19:08:44Z", None),
+    (f"{_DAY}T19:08:44+00:00", None),
+    ("2101-13-20", None),
+])
+def test_time_cell_forms(cell, read):
+    assert cohort_etl._parse_time(cell) == read
+
+
 # --- the indexed reader against csv.DictReader --------------------------
 
 def _dictreader_rows(path, colmap, subjects):
@@ -256,7 +279,7 @@ def _dictreader_rows(path, colmap, subjects):
     filter, with a 0/1 expire flag: the reference _read_rows is held to."""
     fields = {key: column for key, column in colmap.items() if key != "file"}
     parsers = {key: cohort_etl._PARSERS[key] for key in fields if key in cohort_etl._PARSERS}
-    parsers["expire_flag"] = lambda cell: 1 if cohort_etl._parse_float(cell) == 1 else 0
+    parsers["expire_flag"] = lambda cell: 1 if cohort_etl.parse_finite(cell) == 1 else 0
     with open(path, newline="") as fh:
         for raw in csv.DictReader(fh):
             row = {key: (raw.get(column) or "").strip() for key, column in fields.items()}
@@ -377,6 +400,10 @@ def test_empty_cohort_is_not_an_error(demo_tables):
     import dataclasses
     none_cfg = dataclasses.replace(DEMO_CFG, diagnosis_keyword="zzznope")
     assert extract_cohort(demo_tables, none_cfg) == ()
+    ds = build_dataset((), demo_tables, none_cfg)
+    assert ds.x.shape == (0, 6)
+    assert ds.column_names == ["med_heparin", "med_aspirin", "gender_male", "age_gt_60",
+                               "lab_glucose", "lab_creatinine"]
 
 
 # --- label_los ---------------------------------------------------------
@@ -405,7 +432,8 @@ def demo_dataset(demo_cohort, demo_tables):
     return build_dataset(demo_cohort, demo_tables, DEMO_CFG)
 
 
-def test_feature_columns_and_kinds(demo_dataset):
+def test_feature_columns_and_kinds(demo_dataset, demo_cohort, demo_tables):
+    import dataclasses
     assert demo_dataset.column_names == [
         "med_heparin", "med_aspirin", "gender_male", "age_gt_60",
         "admtype_elective", "admtype_emergency", "admtype_urgent",
@@ -414,6 +442,11 @@ def test_feature_columns_and_kinds(demo_dataset):
     kinds = {c.name: c.kind for c in demo_dataset.columns}
     assert kinds["lab_glucose"] == NUMERIC
     assert all(k == BINARY for n, k in kinds.items() if not n.startswith("lab_"))
+    # without lab keys every column is binary, and the matrix is still float64
+    no_labs = build_dataset(demo_cohort, demo_tables, dataclasses.replace(DEMO_CFG, lab_keys=()))
+    assert no_labs.column_names == demo_dataset.column_names[:-2]
+    assert all(c.kind == BINARY for c in no_labs.columns)
+    assert no_labs.x.dtype == np.float64
 
 
 def _row(ds, demo_cohort, sid):

@@ -195,6 +195,14 @@ def test_render_orders_and_formats(tmp_path, cohort):
     assert "±" in md[2]
 
 
+def test_holdout_row_names_no_split_fraction(tmp_path, cohort):
+    # the test share is a setting; the label must not state the default's
+    rep = run_experiment(cohort, small_cfg(SETUP_LEAKY_HOLDOUT, seed=8,
+                                           holdout_test_fraction=0.5))
+    md = render_report([rep], tmp_path)["markdown"].read_text().splitlines()
+    assert md[2].startswith("| leaky holdout (balanced before splitting) | ")
+
+
 @pytest.mark.parametrize("other, differs", [
     (dict(folds=5, seed=9), "config"),
     (dict(n_total=32), "dataset_fingerprint"),

@@ -202,11 +202,17 @@ def test_missing_cells_serialized_as_empty_fields(tmp_path):
     assert lines[1].startswith(",")  # empty field, then the label
 
 
-def test_read_without_sidecar_infers_binary(tmp_path):
+@pytest.mark.parametrize("rows, kinds", [
+    ("1,2.5,0\n0,1.5,1\n", [BINARY, NUMERIC]),
+    (",,0\n,1.5,1\n", [NUMERIC, NUMERIC]),  # an all-blank column is numeric
+    ("1,,0\n,0,1\n", [BINARY, BINARY]),  # 0/1 with blanks is binary
+    ("1,0,0\n2,1,1\n", [NUMERIC, BINARY]),  # a single 2 makes it numeric
+], ids=["mixed", "all_blank", "blanks", "one_two"])
+def test_read_without_sidecar_infers_binary(tmp_path, rows, kinds):
     path = tmp_path / "plain.csv"
-    path.write_text("a,b,label\n1,2.5,0\n0,1.5,1\n")
+    path.write_text("a,b,label\n" + rows)
     ds = read_dataset(path)
-    assert [c.kind for c in ds.columns] == [BINARY, NUMERIC]
+    assert [c.kind for c in ds.columns] == kinds
     assert (ds.parents == -1).all()
 
 

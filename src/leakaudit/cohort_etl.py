@@ -32,7 +32,6 @@ events.
 
 from __future__ import annotations
 
-import csv
 import math
 import re
 from dataclasses import dataclass
@@ -41,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tabular import BINARY, NUMERIC, Column, Dataset, parse_finite
+from .tabular import BINARY, NUMERIC, Column, Dataset, _csv_reader, parse_finite
 
 # Canonical MIMIC-III names of each file and of the columns extraction reads, all
 # required.  Each can be overridden through the schema map (``schema.admissions.expire_flag``).
@@ -181,8 +180,8 @@ def _columns(directory: Path, table: str, colmap: dict) -> tuple[Path, dict[str,
     path = directory / colmap["file"]
     if not path.is_file():
         raise FileNotFoundError(f"{table.upper()}: file {colmap['file']!r} not found in {directory}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), [])
+    with _csv_reader(path) as reader:
+        header = next(reader, [])
     position = {column: j for j, column in enumerate(header)}
     fields = {key: column for key, column in colmap.items() if key != "file"}
     for column in fields.values():
@@ -199,8 +198,7 @@ def _read_rows(path: Path, columns: dict[str, int], subjects: set[str] | None = 
     """
     fields = [(key, j, _PARSERS.get(key, str)) for key, j in columns.items()]
     subject, width = columns["subject_id"], max(columns.values()) + 1
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with _csv_reader(path) as reader:
         next(reader, None)  # the header
         for cells in filter(None, reader):
             if len(cells) < width:
@@ -219,7 +217,9 @@ def load_tables(directory, schema: dict | None = None) -> RawTables:
     ``None``; a time reads only as ``YYYY-MM-DD``, then optionally any one
     separator and ``HH[:MM[:SS[.fff[fff]]]]``, without a zone.  Row order is preserved.
     PRESCRIPTIONS and CHARTEVENTS are only checked here (file present, every
-    column in the header); their rows are read by :func:`build_dataset`.
+    column in the header); their rows are read by :func:`build_dataset`.  A
+    byte that is not UTF-8, or a cell over csv's size limit, in any table
+    raises ``ValueError`` naming its file and line.
     """
     directory = Path(directory)
     schema = schema or {}

@@ -3,20 +3,23 @@
 Format: one ``key = value`` pair per line, ``#`` starts a comment, blank
 lines ignored, list values comma-separated.  The accepted keys are the
 entries of :data:`KEYS` plus ``schema.<table>.<field>`` for a table and
-field of ``cohort_etl.DEFAULT_SCHEMA``.  Any other key, or a value that its
-parser or its config dataclass refuses, is rejected with the file, line
-and key.  CLI flags set the same keys and override file values; a key set
-by neither keeps the default of the dataclass field it maps to.
+field of ``cohort_etl.DEFAULT_SCHEMA``.  Any other key, a value that its
+parser or its config dataclass refuses, or one longer than a CSV cell may
+be, is rejected with the file, line and key.  CLI flags set the same keys
+and override file values; a key set by neither keeps the default of the
+dataclass field it maps to.
 """
 
 from __future__ import annotations
 
+import csv
 from pathlib import Path
 
 from .cohort_etl import DEFAULT_SCHEMA, CohortConfig
 from .experiment import RunConfig
 from .forest import ForestConfig
 from .resampling import AdasynConfig
+from .tabular import _not_utf8
 
 
 def _split_list(value: str) -> tuple[str, ...]:
@@ -81,19 +84,28 @@ def parse_config(path) -> dict:
 
     ``schema.*`` values stay strings.  Unknown keys, unparseable values and
     values their section's dataclass rejects raise ``ValueError`` naming
-    the file, line and key.
+    the file, line and key, as does a value longer than a CSV cell may be; a
+    byte that is not UTF-8, the file and line.
     """
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        text = path.read_text(encoding="utf-8", errors="surrogateescape")
+        raise _not_utf8(path, text.splitlines()) from None
     values: dict = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if len(value) > csv.field_size_limit():  # it would name or become a CSV cell
+            raise ValueError(f"{path}:{lineno}: value of {key!r} is longer than "
+                             f"{csv.field_size_limit()} characters, a CSV cell's limit")
         if key in _SCHEMA_KEYS:
             values[key] = value
         elif key in KEYS:

@@ -6,10 +6,12 @@ entry of :data:`SETUPS`, the one table of setups (in report order), names its
 the split, a step run on each split's training rows after it, and its split
 kind: k stratified folds, or the stratified holdout's one split.  A step,
 :func:`_impute` or :func:`_impute_and_oversample`, fits the imputer on the
-rows it is given and oversamples only those.  Setups (i) and (ii) place
-theirs after the split, the correct pipeline; (iii) and the holdout place
-impute-and-oversample before it, so the test rows feed the fill values and
-parent synthetic training rows: the leak under audit.
+rows it is given and oversamples only those, appending the synthetic rows to
+its filled input, so a split's test rows, training rows and ``parents`` index
+one matrix.  Setups (i) and (ii) place theirs after the split, the correct
+pipeline; (iii) and the holdout place impute-and-oversample before it, so the
+test rows feed the fill values and parent synthetic training rows: the leak
+under audit.
 
 All four run one path, :func:`_splits`, which :func:`run_experiment` trains
 and scores.  A split whose test side holds one class, or whose training
@@ -48,24 +50,27 @@ SETUP_LEAKY_HOLDOUT = "leaky_holdout"
 class Setup(NamedTuple):
     flag: str  # its --setup value
     label: str  # its report.md row
-    # steps, (ds, rows, cfg, *seed label) -> (train_ds, train_rows, eval_ds):
+    # steps, (ds, rows, cfg, *seed label) -> (ds filled + synthetic rows, train_rows):
     before: Callable | None  # run on every row, before the split
     after: Callable | None  # run on each split's training rows
     holdout: bool = False  # one stratified holdout split, not k folds
 
 
 def _impute(ds: Dataset, rows, cfg: RunConfig, *label):
-    """Fill every row with the imputer fitted on ``rows``."""
-    imputed = apply_imputer(ds, fit_imputer(ds, rows))
-    return imputed, rows, imputed
+    """Fill every row with the imputer fitted on ``rows``; train on ``rows``."""
+    return apply_imputer(ds, fit_imputer(ds, rows)), rows
 
 
 def _impute_and_oversample(ds: Dataset, rows, cfg: RunConfig, *label):
-    """:func:`_impute`, then train on ADASYN's output over ``rows``."""
-    imputed, rows, _ = _impute(ds, rows, cfg)
-    train_ds = adasyn(imputed, rows, replace(
+    """:func:`_impute`, then append ADASYN's synthetic rows and train on them too."""
+    imputed, rows = _impute(ds, rows, cfg)
+    out = adasyn(imputed, rows, replace(
         cfg.adasyn, seed=derive_seed(cfg.master_seed, "adasyn", *label)))
-    return train_ds, np.arange(train_ds.n_rows), imputed
+    n = len(rows)  # adasyn returns the rows it was given, then the synthetic ones
+    work = Dataset(columns=ds.columns, x=np.vstack([imputed.x, out.x[n:]]),
+                   y=np.concatenate([imputed.y, out.y[n:]]),
+                   parents=np.vstack([imputed.parents, out.parents[n:]]))
+    return work, np.concatenate([rows, np.arange(imputed.n_rows, work.n_rows)])
 
 
 SETUPS = {  # in report order
@@ -101,11 +106,8 @@ class RunConfig:
             raise ValueError("repeats must be at least 1")
 
     def echo(self) -> dict:
-        """The settings as the report's ``config``.
-
-        ``setup`` names the report's setup entries instead, and the nested
-        seeds are not settings: run_experiment derives them per split.
-        """
+        """The settings as the report's ``config``: not ``setup``, which names the
+        setup entries, nor the nested seeds, which run_experiment derives per split."""
         echo = asdict(self)
         del echo["setup"], echo["adasyn"]["seed"], echo["forest"]["seed"]
         return echo
@@ -139,8 +141,8 @@ def _check_input(ds: Dataset) -> None:
 
 def _splits(ds: Dataset, cfg: RunConfig, setup: Setup, skipped: list[str]):
     """Prepare ``setup``'s splits of ``ds`` in run order: yield ``(r, f, where, test,
-    train_ds, train_rows, eval_ds)`` for each split ready to train, and list
-    each split or repeat that cannot be prepared in ``skipped``."""
+    work, train)``, rows of ``work`` to test and train on, for each split ready to
+    train, and list each split or repeat that cannot be prepared in ``skipped``."""
     for r in range(cfg.repeats):
         try:
             work = setup.before(ds, np.arange(ds.n_rows), cfg, r)[0] if setup.before else ds
@@ -156,14 +158,13 @@ def _splits(ds: Dataset, cfg: RunConfig, setup: Setup, skipped: list[str]):
         for f, test in enumerate(plan.folds):
             where = f"repeat {r}" if setup.holdout else f"repeat {r} fold {f}"
             test = np.asarray(test, dtype=np.intp)
-            test_y = work.y[test]
-            if (test_y == 0).all() or (test_y == 1).all():
+            if np.unique(work.y[test]).size < 2:
                 side = "side" if setup.holdout else "fold"
                 skipped.append(f"{where}: AUROC undefined (single-class test {side})")
                 continue
             train = np.setdiff1d(np.arange(work.n_rows), test)
             try:
-                split = setup.after(work, train, cfg, r, f) if setup.after else (work, train, work)
+                split = setup.after(work, train, cfg, r, f) if setup.after else (work, train)
             except ValueError as exc:
                 skipped.append(f"{where}: {exc}")
                 continue
@@ -175,20 +176,19 @@ def run_experiment(ds: Dataset, cfg: RunConfig) -> ExperimentReport:
     _check_input(ds)
     results: list[FoldResult] = []
     skipped: list[str] = []
-    for r, f, where, test, train_ds, train, eval_ds in _splits(ds, cfg, SETUPS[cfg.setup],
-                                                               skipped):
+    for r, f, where, test, work, train in _splits(ds, cfg, SETUPS[cfg.setup], skipped):
         try:
-            model = train_forest(train_ds, train, replace(
+            model = train_forest(work, train, replace(
                 cfg.forest, seed=derive_seed(cfg.master_seed, "forest", r, f)))
         except ValueError as exc:
             skipped.append(f"{where}: {exc}")
             continue
-        scores = predict_proba(model, eval_ds, test)
-        test_y = eval_ds.y[test]
+        scores = predict_proba(model, work, test)
+        test_y = work.y[test]
         results.append(FoldResult(
             auroc=auroc(scores, test_y),
             confusion=confusion_matrix(scores, test_y),
-            contamination=contamination_check(eval_ds.synthetic[test], test_y, ds.class_counts()),
+            contamination=contamination_check(work.synthetic[test], test_y, ds.class_counts()),
             fold=f,
             repeat=r,
         ))

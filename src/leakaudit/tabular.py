@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -184,6 +185,36 @@ def apply_imputer(ds: Dataset, model: ImputerModel) -> Dataset:
 # Missing cells are written as empty fields; the final column is the label.
 # ---------------------------------------------------------------------------
 
+def _not_utf8(path, lines) -> ValueError:
+    """The error for a file that is not UTF-8, naming ``path`` and its first line
+    that is not; ``lines`` are its lines as its reader splits them, decoded with
+    ``errors="surrogateescape"`` so that each undecodable byte is kept."""
+    for number, line in enumerate(lines, start=1):
+        try:
+            line.encode("utf-8", "surrogateescape").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return ValueError(f"{path}: line {number}: {exc}")
+    return ValueError(f"{path}: not UTF-8")  # the file changed since the failed read
+
+
+@contextmanager
+def _csv_reader(path):
+    """A ``csv.reader`` over the UTF-8 file ``path``, open while the block runs.
+
+    A byte that is not UTF-8, or a cell over csv's size limit, anywhere the
+    block reads raises ``ValueError`` naming the file and the line.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            yield reader
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:  # the decoder reads ahead: reader.line_num may be early
+            with open(path, newline="", encoding="utf-8", errors="surrogateescape") as again:
+                raise _not_utf8(path, again) from None
+
+
 def _format_cell(v: float) -> str:
     if math.isnan(v):
         return ""
@@ -242,19 +273,18 @@ def read_dataset(csv_path) -> Dataset:
     row is original.  A repeated header name, a feature cell that is not a
     finite number, a cell other than 0/1 in a column the sidecar declares
     binary, or a label other than 0/1, is rejected with its file, row and
-    column; a malformed sidecar is rejected naming the sidecar.  A path that
-    names a directory counts as missing.
+    column; a byte that is not UTF-8 or a cell over csv's size limit, with its
+    file and line; a malformed sidecar, naming the sidecar.  A path that names
+    a directory counts as missing.
     """
     csv_path = Path(csv_path)
     if not csv_path.is_file():
         raise FileNotFoundError(f"dataset file not found: {csv_path}")
-    with open(csv_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{csv_path}: empty file, expected a header row") from None
+    with _csv_reader(csv_path) as reader:
+        header = next(reader, None)
         rows = list(reader)
+    if header is None:
+        raise ValueError(f"{csv_path}: empty file, expected a header row")
     if not header or header[-1] != LABEL_COLUMN:
         raise ValueError(f"{csv_path}: last column must be {LABEL_COLUMN!r}")
     for j, name in enumerate(header):

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -345,6 +346,39 @@ def test_report_rejects_malformed_payload(text, tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"error: {src}: " in err and "Traceback" not in err
     assert not (tmp_path / "o" / "report.json").exists()
+
+
+# one line past csv's cell limit of 131,072 characters, or one byte that is not UTF-8
+_UNREADABLE = {
+    ("dataset", "oversized"): ("dataset.csv", "1" * 140_000 + "\n"),
+    ("dataset", "not-utf8"): ("dataset.csv", "0.5\xe9,1\n"),
+    ("etl-table", "oversized"): ("DIAGNOSES_ICD.csv", "99,1," + "x" * 200_000 + "\n"),
+    ("etl-table", "not-utf8"): ("ADMISSIONS.csv", "\xff"),
+    ("config", "oversized"): ("etl.cfg", "features.labs = glucose, " + "x" * 200_000 + "\n"),
+    ("config", "not-utf8"): ("etl.cfg", "# caf\xe9\n"),
+}
+
+
+@pytest.mark.parametrize("fault", ["oversized", "not-utf8"])
+@pytest.mark.parametrize("target", ["dataset", "etl-table", "config"])
+def test_unreadable_input_fails_on_one_line_naming_the_file(target, fault, tmp_path, capsys,
+                                                           mimic_demo_dir, mimic_demo_cfg):
+    tables, data = tmp_path / "tables", tmp_path / "data"
+    shutil.copytree(mimic_demo_dir, tables)
+    shutil.copy(mimic_demo_cfg, tables / "etl.cfg")
+    assert main(["synth", "--n-total", "30", "--n-minority", "5", "--out", str(data)]) == 0
+    name, appended = _UNREADABLE[target, fault]
+    bad = (data if target == "dataset" else tables) / name
+    line = bad.read_bytes().count(b"\n") + 1  # the appended line's number
+    with open(bad, "ab") as fh:
+        fh.write(appended.encode("latin-1"))
+    capsys.readouterr()
+    inputs = (["run", "--data", str(bad)] if target == "dataset" else
+              ["etl", "--data-dir", str(tables), "--config", str(tables / "etl.cfg")])
+    assert main([*inputs, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and (f"{bad}: line {line}: " in err or f"{bad}:{line}: " in err)
+    assert not (tmp_path / "o").exists()
 
 
 def test_dataset_csv_roundtrips_through_cli(tmp_path):

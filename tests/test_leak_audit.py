@@ -12,6 +12,10 @@ The contamination flags cannot replace this audit: they look for synthetic
 rows and surplus class members in an evaluation fold, and an imputation leak
 makes neither.
 
+A split is one dataset, so lineage is checked directly too: only in the
+leaky setups does a synthetic row sit on one side of a split with a parent on
+the other.
+
 Two more checks pin where the AUROC gap comes from.  A nearest-neighbour
 oracle (``nn_oracle``), which trains no model, scores the leaky setups near 1
 on the same splits, so a forest change cannot fake or hide the leak.  And with
@@ -44,8 +48,8 @@ IMPUTE_BEFORE = experiment.Setup("impute-before", "imputation before partitionin
 
 
 def _training_input(split) -> tuple[bytes, bytes]:
-    _r, _f, _where, _test, train_ds, train, _eval_ds = split
-    return train_ds.x[train].tobytes(), train_ds.y[train].tobytes()
+    _r, _f, _where, _test, work, train = split
+    return work.x[train].tobytes(), work.y[train].tobytes()
 
 
 def _perturbed(ds: Dataset, rows, rng) -> Dataset:
@@ -62,9 +66,8 @@ def moved_splits(ds: Dataset, cfg: RunConfig, setup, rng) -> tuple[int, int]:
     """(splits whose training input moved, splits audited)."""
     moved = audited = 0
     for split in experiment._splits(ds, cfg, setup, []):
-        r, f, _where, test, _train_ds, _train, eval_ds = split
-        # an oversampled dataset starts with the rows it was given, in order
-        originals = test[~eval_ds.synthetic[test]]
+        r, f, _where, test, work, _train = split
+        originals = test[~work.synthetic[test]]  # rows of ds too: steps append
         again = next(s for s in experiment._splits(_perturbed(ds, originals, rng), cfg,
                                                    setup, [])
                      if s[:2] == (r, f))
@@ -74,17 +77,44 @@ def moved_splits(ds: Dataset, cfg: RunConfig, setup, rng) -> tuple[int, int]:
     return moved, audited
 
 
+# the audited cohorts: 60 rows, 9 positives, some cells missing, 3 to 6 folds
+COHORTS = {"seed": st.integers(0, 2**16), "missing_rate": st.floats(0.05, 0.3),
+           "folds": st.integers(3, 6)}
+
+
+def _cohort(seed, missing_rate) -> Dataset:
+    return generate_cohort(SynthConfig(n_total=60, n_minority=9, missing_rate=missing_rate,
+                                       seed=seed))
+
+
 @settings(max_examples=20, deadline=None)
-@given(seed=st.integers(0, 2**16), missing_rate=st.floats(0.05, 0.3),
-       folds=st.integers(3, 6))
+@given(**COHORTS)
 def test_only_the_leaky_setups_train_on_their_evaluation_rows(seed, missing_rate, folds):
-    ds = generate_cohort(SynthConfig(n_total=60, n_minority=9, missing_rate=missing_rate,
-                                     seed=seed))
+    ds = _cohort(seed, missing_rate)
     rng = np.random.default_rng(seed)
     for name, setup in SETUPS.items():
         moved, audited = moved_splits(ds, RunConfig(setup=name, folds=folds,
                                                     master_seed=seed), setup, rng)
         assert audited > 0 and (moved > 0) == LEAKS[name], (name, moved, audited)
+
+
+# Measured over 150 cohorts: no crossing edge in an honest split, at least 8 in a leaky one
+@settings(max_examples=20, deadline=None)
+@given(**COHORTS)
+def test_lineage_crosses_the_split_only_in_the_leaky_setups(seed, missing_rate, folds):
+    ds = _cohort(seed, missing_rate)
+    for name, setup in SETUPS.items():
+        splits = list(experiment._splits(ds, RunConfig(setup=name, folds=folds,
+                                                       master_seed=seed), setup, []))
+        assert splits, name
+        for _r, _f, where, test, work, train in splits:
+            # synthetic rows on one side with a parent on the other
+            edges = (np.isin(work.parents[train], test).any(axis=1).sum()
+                     + np.isin(work.parents[test], train).any(axis=1).sum())
+            if LEAKS[name]:
+                assert edges > 0, (name, where)
+            else:
+                assert not work.synthetic[test].any() and edges == 0, (name, where, edges)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -104,10 +134,10 @@ def test_audit_catches_imputation_before_the_split(seed, monkeypatch):
 
 def _oracle_auroc(ds: Dataset, cfg: RunConfig) -> float:
     """Mean AUROC of the nearest-neighbour oracle over the setup's own splits."""
-    return float(np.mean([
-        auroc(nn_scores(train_ds.x[train], train_ds.y[train], eval_ds.x[test]), eval_ds.y[test])
-        for _r, _f, _where, test, train_ds, train, eval_ds
-        in experiment._splits(ds, cfg, SETUPS[cfg.setup], [])]))
+    splits = experiment._splits(ds, cfg, SETUPS[cfg.setup], [])
+    return float(np.mean([auroc(nn_scores(work.x[train], work.y[train], work.x[test]),
+                                work.y[test])
+                          for _r, _f, _where, test, work, train in splits]))
 
 
 # Seeds 0-9 measured: leaky setups >= 0.999 on both cohorts; the honest ones

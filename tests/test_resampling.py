@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from leakaudit import resampling
 from leakaudit.resampling import AdasynConfig, adasyn, allocate_counts
-from leakaudit.tabular import BINARY, Column, Dataset, NUMERIC
+from leakaudit.synth import SynthConfig, generate_cohort
+from leakaudit.tabular import BINARY, Column, Dataset, NUMERIC, apply_imputer, fit_imputer
 
 from adasyn_reference import reference_adasyn
 from conftest import make_dataset, random_imbalanced
@@ -276,6 +280,71 @@ def test_adasyn_matches_the_two_pass_reference_bitwise(data, k, beta, seed):
     assert out.x.tobytes() == ref.x.tobytes()
     np.testing.assert_array_equal(out.y, ref.y)
     np.testing.assert_array_equal(out.parents, ref.parents)
+
+
+# (scale, offset) of the numeric cells: squares that underflow, small
+# differences on a large offset, and squares or sums that overflow to inf
+SCALES = [(1e-160, 0.0), (1.0, 0.0), (1e-3, 1e6), (1e155, 0.0), (1e300, 0.0)]
+
+
+@st.composite
+def scaled_case(draw):
+    """A ``tie_heavy_case`` with its numeric cells scaled and offset by one of SCALES."""
+    ds, rows = draw(tie_heavy_case())
+    scale, offset = draw(st.sampled_from(SCALES))
+    numeric = np.array([c.kind == NUMERIC for c in ds.columns])
+    x = ds.x.copy()
+    x[:, numeric] = x[:, numeric] * scale + offset
+    return Dataset(columns=ds.columns, x=x, y=ds.y), rows
+
+
+@pytest.mark.parametrize("seeds_per_block", [1, 3])
+@settings(max_examples=150, deadline=None)
+@given(data=scaled_case(), k=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
+def test_screened_search_matches_the_reference_at_every_scale(seeds_per_block, data, k, seed):
+    ds, rows = data
+    cfg = AdasynConfig(k_neighbors=k, seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        # a few seeds per block: the search spans several blocks and ends with a partial one
+        mp.setattr(resampling, "_SCREEN_CELLS", seeds_per_block * len(rows))
+        out = adasyn(ds, rows, cfg)
+    with np.errstate(over="ignore"):  # the reference's distances overflow to inf too
+        ref = reference_adasyn(ds, rows, cfg)
+    assert out.x.tobytes() == ref.x.tobytes()
+    np.testing.assert_array_equal(out.parents, ref.parents)
+
+
+@pytest.mark.parametrize("x", [
+    # 1e-160 and 1.0001e-160 square to the same subnormal: rows 0 and 1 tie for
+    # row 2's partner, though the screen sees row 1 nearer
+    [1e-160 * (1 + 1e-4), 1e-160, 0.0] + [5e-160] * 6,
+    # every distance from row 2 overflows to inf, so row 0, the lowest row, is
+    # its partner, though the screen sees row 1 nearer (and row 0 is its own)
+    [2e155, 1.5e154, 0.0] + [5e155] * 5,
+], ids=["squares-underflow", "distances-overflow"])
+def test_ties_the_screen_cannot_see_go_to_the_lower_row(x):
+    ds = make_dataset(x, [1, 1, 1] + [0] * (len(x) - 3))
+    cfg = AdasynConfig(k_neighbors=1, seed=0)
+    out = adasyn(ds, range(len(x)), cfg)
+    with np.errstate(over="ignore"):
+        ref = reference_adasyn(ds, range(len(x)), cfg)
+    np.testing.assert_array_equal(out.parents[len(x):], ref.parents[len(x):])
+    assert out.x.tobytes() == ref.x.tobytes()
+
+
+def test_one_adasyn_call_stays_within_its_memory_bound():
+    ds = generate_cohort(SynthConfig(n_total=6000, n_minority=300))
+    rows = np.arange(ds.n_rows)
+    ds = apply_imputer(ds, fit_imputer(ds, rows))
+    tracemalloc.start()
+    try:
+        adasyn(ds, rows, AdasynConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # synthesis peaks at about 5.3 MB and the search's blocks stay below it;
+    # screening all 300 seeds at once would take 14.4 MB per screen matrix
+    assert peak < 7e6
 
 
 def _ties_case(extra_majority):

@@ -23,11 +23,14 @@ every table.  Pass 1, :func:`load_tables`, reads ADMISSIONS, ICUSTAYS,
 DIAGNOSES_ICD and PATIENTS into row dicts, from which :func:`extract_cohort`
 fixes the cohort; of PRESCRIPTIONS and CHARTEVENTS it only checks the file and
 header, keeping each one's path and column positions.  Pass 2,
-:func:`build_dataset`, streams each event table once from those and tests each
-row's subject cell before anything else is built, keeping, for cohort subjects
-only, a flag per medication key and the values of each lab key.  Memory is
-thus bounded by the cohort (and the four small tables), not by the number of
-events.
+:func:`build_dataset`, streams each event table once from those without
+building rows: it tests each row's subject cell, then looks up which keys its
+drug or item cell holds, matching each distinct cell once, and drops a row
+that holds none; a chart value is parsed only for a row that holds a lab key.
+It keeps, for cohort subjects only, a flag per medication key and the values
+of each lab key, and remembers at most :data:`_MEMO_CELLS` distinct cells.
+Memory is thus bounded by the cohort (and the four small tables), not by the
+number of events or of distinct drug and item cells.
 """
 
 from __future__ import annotations
@@ -190,21 +193,27 @@ def _columns(directory: Path, table: str, colmap: dict) -> tuple[Path, dict[str,
     return path, {key: position[column] for key, column in fields.items()}
 
 
-def _read_rows(path: Path, columns: dict[str, int], subjects: set[str] | None = None):
-    """Yield one dict per CSV row, keyed by field name: each kept cell is stripped
-    and parsed once, as the row is built, by its :data:`_PARSERS` entry or as
-    text.  A blank line is no row; a short row's missing cells are empty.  With
-    ``subjects``, a row whose stripped subject cell is not in it is dropped unparsed.
-    """
-    fields = [(key, j, _PARSERS.get(key, str)) for key, j in columns.items()]
-    subject, width = columns["subject_id"], max(columns.values()) + 1
+def _cells(path: Path, columns: dict[str, int]):
+    """Yield the cells of each CSV row after the header, padded with empty
+    cells to reach every column of ``columns``.  A blank line is no row."""
+    width = max(columns.values()) + 1
     with _csv_reader(path) as reader:
         next(reader, None)  # the header
         for cells in filter(None, reader):
             if len(cells) < width:
                 cells += [""] * (width - len(cells))
-            if subjects is None or cells[subject].strip() in subjects:
-                yield {key: parse(cells[j].strip()) for key, j, parse in fields}
+            yield cells
+
+
+def _read_rows(path: Path, columns: dict[str, int]):
+    """Yield one dict per row of a pass-1 table, keyed by field name: each
+    kept cell is stripped and parsed once, as the row is built, by its
+    :data:`_PARSERS` entry or as text.  Pass 2 reads the event tables in
+    :func:`_matches` without building rows.
+    """
+    fields = [(key, j, _PARSERS.get(key, str)) for key, j in columns.items()]
+    for cells in _cells(path, columns):
+        yield {key: parse(cells[j].strip()) for key, j, parse in fields}
 
 
 def load_tables(directory, schema: dict | None = None) -> RawTables:
@@ -268,11 +277,9 @@ def extract_cohort(tables: RawTables, cfg: CohortConfig) -> tuple[CohortRow, ...
             stays_by_hadm.setdefault(s["hadm_id"], []).append(s)
 
     # rule 3 lookup: subjects with a qualifying ICD-9 code
-    icd_subjects = {
-        d["subject_id"]
-        for d in tables.diagnoses_icd
-        if any(d["icd9_code"].startswith(p) for p in cfg.icd9_prefixes)
-    }
+    prefixes = tuple(cfg.icd9_prefixes)
+    icd_subjects = {d["subject_id"] for d in tables.diagnoses_icd
+                    if d["icd9_code"].startswith(prefixes)}
 
     genders = {p["subject_id"]: p["gender"] for p in tables.patients}
     dobs = {p["subject_id"]: p["dob"] for p in tables.patients}
@@ -323,6 +330,34 @@ def _normalize_key(s: str) -> str:
     return s.lower().replace(" ", "")
 
 
+# distinct drug or item cells that _matches remembers at once; it forgets them
+# all when full, so memory stays bounded however many distinct cells a table holds
+_MEMO_CELLS = 1 << 12
+
+
+def _matches(event: tuple[Path, dict[str, int]], field: str, keys: list[str],
+             subjects: set[str]):
+    """Yield ``(subject, keys found, cells)`` for each row of an event table
+    whose stripped subject cell is in ``subjects`` and whose ``field`` cell
+    holds some of the normalised ``keys``.  Each distinct ``field`` cell is
+    matched once (up to :data:`_MEMO_CELLS` at a time); any other row is
+    dropped before a cell of it is parsed.
+    """
+    path, columns = event
+    subject, label = columns["subject_id"], columns[field]
+    found_in: dict[str, tuple[str, ...]] = {}  # raw cell -> the keys it holds
+    for cells in _cells(path, columns):
+        if (sid := cells[subject].strip()) not in subjects:
+            continue
+        if (found := found_in.get(cells[label])) is None:
+            if len(found_in) == _MEMO_CELLS:
+                found_in.clear()
+            cell = _normalize_key(cells[label].strip())
+            found = found_in[cells[label]] = tuple(k for k in keys if k in cell)
+        if found:
+            yield sid, found, cells
+
+
 def build_dataset(cohort: tuple[CohortRow, ...], tables: RawTables, cfg: CohortConfig) -> Dataset:
     """Assemble the per-patient feature matrix, one row per cohort row, and LOS label.
 
@@ -335,22 +370,21 @@ def build_dataset(cohort: tuple[CohortRow, ...], tables: RawTables, cfg: CohortC
     med_keys = [_normalize_key(k) for k in cfg.medication_keys]
     lab_keys = [_normalize_key(k) for k in cfg.lab_keys]
 
-    # pass 2: stream each event table once, keeping cohort subjects only
+    # pass 2: stream each event table once; a row of a cohort subject is kept
+    # only if its drug or item cell contains a key
     subjects = {r.subject_id for r in cohort}
-    prescriptions, chartevents = (_read_rows(*tables.events[t], subjects) for t in _STREAMED)
     meds: set[tuple[str, str]] = set()  # (subject, key) with a matching drug
-    for p in prescriptions:
-        drug = _normalize_key(p["drug"])
-        meds.update((p["subject_id"], k) for k in med_keys if k in drug)
+    for subject, found, _ in _matches(tables.events["prescriptions"], "drug", med_keys, subjects):
+        meds.update((subject, k) for k in found)
     # every value per (subject, lab key), in file order: np.mean sums long
     # lists pairwise, so a running sum would change the last bits
+    parse, value = _PARSERS["value_num"], tables.events["chartevents"][1]["value_num"]
     labs: dict[tuple[str, str], list[float]] = {}
-    for e in chartevents:
-        if e["value_num"] is not None:
-            item = _normalize_key(e["item_key"])
-            for k in lab_keys:
-                if k in item:
-                    labs.setdefault((e["subject_id"], k), []).append(e["value_num"])
+    for subject, found, cells in _matches(tables.events["chartevents"], "item_key", lab_keys,
+                                          subjects):
+        if (v := parse(cells[value].strip())) is not None:
+            for k in found:
+                labs.setdefault((subject, k), []).append(v)
 
     adm_keys = [_normalize_key(r.admission_type) or "unknown" for r in cohort]
     layout = (

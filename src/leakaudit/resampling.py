@@ -169,7 +169,8 @@ def adasyn(ds: Dataset, rows, cfg: AdasynConfig) -> Dataset:
     Returns a new dataset holding the selected rows unchanged (in order)
     followed by G synthetic minority rows, whose ``parents`` are two of
     ``rows``.  Requires both classes present and no missing cells among the
-    selected rows; impute first.
+    selected rows; impute first.  A synthetic cell that overflows raises
+    ``ValueError`` naming its column.
     """
     rows = np.asarray(rows, dtype=np.intp)
     x = ds.x[rows]
@@ -214,7 +215,13 @@ def adasyn(ds: Dataset, rows, cfg: AdasynConfig) -> Dataset:
     partner_rows = partners[seed_of, rng.integers(0, k_min, size=g_total)]
     lam = rng.random(g_total)
     seed_rows = minority_idx[seed_of]
-    samples = x[seed_rows] + lam[:, None] * (x[partner_rows] - x[seed_rows])
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = x[seed_rows] + lam[:, None] * (x[partner_rows] - x[seed_rows])
+    # finite cells of opposite sign near the float limit overflow, and a lambda of
+    # 0 times inf is NaN; either would pass on as a cell the input does not have
+    if not (finite := np.isfinite(samples).all(axis=0)).all():
+        raise ValueError(f"column {ds.columns[np.argmin(finite)].name!r}: "
+                         f"ADASYN interpolation overflowed")
     binary_cols = np.array([c.kind == BINARY for c in ds.columns], dtype=bool)
     samples[:, binary_cols] = samples[:, binary_cols] >= 0.5
 

@@ -354,13 +354,16 @@ _UNREADABLE = {
     ("dataset", "not-utf8"): ("dataset.csv", "0.5\xe9,1\n"),
     ("etl-table", "oversized"): ("DIAGNOSES_ICD.csv", "99,1," + "x" * 200_000 + "\n"),
     ("etl-table", "not-utf8"): ("ADMISSIONS.csv", "\xff"),
+    # the event tables are read in pass 2, after the cohort is fixed
+    ("etl-events", "oversized"): ("CHARTEVENTS.csv", "1,101,9101,Glucose," + "x" * 200_000 + "\n"),
+    ("etl-events", "not-utf8"): ("PRESCRIPTIONS.csv", "\xff"),
     ("config", "oversized"): ("etl.cfg", "features.labs = glucose, " + "x" * 200_000 + "\n"),
     ("config", "not-utf8"): ("etl.cfg", "# caf\xe9\n"),
 }
 
 
 @pytest.mark.parametrize("fault", ["oversized", "not-utf8"])
-@pytest.mark.parametrize("target", ["dataset", "etl-table", "config"])
+@pytest.mark.parametrize("target", ["dataset", "etl-table", "etl-events", "config"])
 def test_unreadable_input_fails_on_one_line_naming_the_file(target, fault, tmp_path, capsys,
                                                            mimic_demo_dir, mimic_demo_cfg):
     tables, data = tmp_path / "tables", tmp_path / "data"

@@ -4,17 +4,19 @@ import re
 import tempfile
 from datetime import datetime
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from leakaudit import cohort_etl
-from leakaudit.cohort_etl import (DEFAULT_SCHEMA, CohortConfig, build_dataset,
-                                  extract_cohort, label_los, load_tables)
+from leakaudit.cohort_etl import (DEFAULT_SCHEMA, CohortConfig, CohortRow, RawTables,
+                                  build_dataset, extract_cohort, label_los, load_tables)
 from leakaudit.tabular import BINARY, NUMERIC
 
 from conftest import write_empty_tables
+from etl_reference import reference_build_dataset
 
 DEMO_CFG = CohortConfig(medication_keys=("heparin", "aspirin"),
                         lab_keys=("glucose", "creatinine"))
@@ -199,17 +201,20 @@ def test_schema_override_renames_columns(tmp_path, mimic_demo_dir):
 
 
 def test_event_rows_outside_the_cohort_are_not_parsed(tmp_path, mimic_demo_dir, monkeypatch):
-    def add_outsiders(stem, header, rows):
+    # outsiders' glucose rows, and a cohort subject's row whose item names no lab key
+    def add_unread_rows(stem, header, rows):
         if stem == "CHARTEVENTS":
-            rows += [["3", "301", "9301", "Glucose", "6.0"], ["4", "401", "9401", "Glucose", "x"]]
+            rows += [["3", "301", "9301", "Glucose", "6.0"], ["4", "401", "9401", "Glucose", "x"],
+                     ["1", "101", "9101", "Heart Rate", "x"]]
         return header, rows
 
-    directory = _copy_demo(mimic_demo_dir, tmp_path, add_outsiders)
+    directory = _copy_demo(mimic_demo_dir, tmp_path, add_unread_rows)
     parsed = []
     monkeypatch.setitem(cohort_etl._PARSERS, "value_num",
                         lambda cell: parsed.append(cell) or cohort_etl.parse_finite(cell))
     _, ds = _dataset(directory)
-    assert len(parsed) == 8  # the demo's chart rows, all of cohort subjects
+    assert len(parsed) == 8  # the demo's chart rows, all lab rows of cohort subjects
+    assert "x" not in parsed
     assert ds.n_rows == len(EXPECTED_SUBJECTS)
 
 
@@ -274,9 +279,9 @@ def test_time_cell_forms(cell, read):
 
 # --- the indexed reader against csv.DictReader --------------------------
 
-def _dictreader_rows(path, colmap, subjects):
-    """csv.DictReader, a dict per row of every schema field, then the subject
-    filter, with a 0/1 expire flag: the reference _read_rows is held to."""
+def _dictreader_rows(path, colmap):
+    """csv.DictReader, a dict per row of every schema field, with a 0/1 expire
+    flag: the reference _read_rows is held to."""
     fields = {key: column for key, column in colmap.items() if key != "file"}
     parsers = {key: cohort_etl._PARSERS[key] for key in fields if key in cohort_etl._PARSERS}
     parsers["expire_flag"] = lambda cell: 1 if cohort_etl.parse_finite(cell) == 1 else 0
@@ -285,8 +290,7 @@ def _dictreader_rows(path, colmap, subjects):
             row = {key: (raw.get(column) or "").strip() for key, column in fields.items()}
             for key, parse in parsers.items():
                 row[key] = parse(row[key])
-            if subjects is None or row["subject_id"] in subjects:
-                yield row
+            yield row
 
 
 def _rule_1(rows):
@@ -313,16 +317,15 @@ def _tables(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(table=_tables(), subjects=st.sets(st.sampled_from(["1", "2", "3", ""])))
-def test_indexed_reader_matches_dictreader(table, subjects):
+@given(table=_tables())
+def test_indexed_reader_matches_dictreader(table):
     header, rows = table
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / _COLMAP["file"]
         with open(path, "w", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerows([header, *rows])
-        for chosen in (None, subjects):
-            got = list(cohort_etl._read_rows(*cohort_etl._columns(Path(d), "t", _COLMAP), chosen))
-            assert _rule_1(got) == _rule_1(_dictreader_rows(path, _COLMAP, chosen))
+        got = list(cohort_etl._read_rows(*cohort_etl._columns(Path(d), "t", _COLMAP)))
+        assert _rule_1(got) == _rule_1(_dictreader_rows(path, _COLMAP))
 
 
 # --- extract_cohort ----------------------------------------------------
@@ -394,6 +397,15 @@ def test_adding_prefix_never_shrinks_cohort(demo_tables, demo_cohort):
     bigger = extract_cohort(demo_tables, wider)
     assert set(_ids(demo_cohort)) <= set(_ids(bigger))
     assert "5" in _ids(bigger)
+
+
+def test_icd9_prefixes_given_as_a_list_extract_the_same_cohort(demo_tables, demo_cohort):
+    import dataclasses
+    listed = dataclasses.replace(DEMO_CFG, icd9_prefixes=["162"])
+    assert extract_cohort(demo_tables, listed) == demo_cohort
+    wider = extract_cohort(demo_tables, dataclasses.replace(DEMO_CFG, icd9_prefixes=["162", "153"]))
+    assert wider == extract_cohort(demo_tables, dataclasses.replace(DEMO_CFG,
+                                                                    icd9_prefixes=("162", "153")))
 
 
 def test_empty_cohort_is_not_an_error(demo_tables):
@@ -505,3 +517,68 @@ def test_duplicate_feature_keys_rejected():
     with pytest.raises(ValueError, match="^duplicate feature key: medication key 'Hep arin' "
                                          "matches medication key 'heparin' once lowercased"):
         CohortConfig(medication_keys=("heparin", "Hep arin"))
+
+
+# --- pass 2 against the per-row-dict reference --------------------------
+
+_PASS2_CFG = CohortConfig(medication_keys=("heparin", "Asp irin"),
+                          lab_keys=("glucose", "Creatinine"))
+# case, inner-space and padding variants of the keys, a label holding both lab
+# keys, near misses, and empty cells
+_LABELS = st.sampled_from(["Glucose", "GLU COSE", " glucose ", "glucose (serum)", "Creatinine",
+                           "creat inine", "Glucose/Creatinine ratio", "Heart Rate", "Glucagon",
+                           "Heparin", " HEP ARIN flush", "aspirin 81", "Aspart", "", " "])
+_SUBJECT_CELLS = st.sampled_from(["1", " 2 ", "2", "3", "10", "9", "", "01"])  # 9, 01: outsiders
+_VALUES = (st.sampled_from(["", " ", "x", "nan", "inf", "-inf", "1e309", " 2.5 ", "<0.5"])
+           | st.floats(-1e6, 1e6).map(repr) | st.integers(-5, 500).map(str))
+
+
+@st.composite
+def _event_table(draw, header, label_column):
+    """Rows of one event table, some short, with cells drawn from small pools
+    so that cells repeat."""
+    cells = {"SUBJECT_ID": _SUBJECT_CELLS, label_column: _LABELS, "VALUENUM": _VALUES, "X": _VALUES}
+    row = st.tuples(*(cells[name] for name in header)).map(list)
+    rows = draw(st.lists(row, max_size=60))
+    for r in rows:
+        if draw(st.integers(0, 9)) == 0:  # one row in ten is cut short
+            del r[draw(st.integers(0, len(r) - 1)):]
+    return rows
+
+
+@st.composite
+def _pass2_case(draw):
+    ids = draw(st.lists(st.sampled_from(["1", "2", "3", "10"]), unique=True))
+    cohort = tuple(CohortRow(subject_id=sid, last_hadm_id="1", last_icustay_id="1",
+                             los=draw(st.floats(0, 20)), gender=draw(st.sampled_from("MF")),
+                             age_years=draw(st.none() | st.floats(0, 99)),
+                             admission_type=draw(st.sampled_from(["ELECTIVE", "Emer gency", ""])))
+                   for sid in sorted(ids))
+    tables = {}
+    for file, label, extra in (("PRESCRIPTIONS.csv", "DRUG", []),
+                               ("CHARTEVENTS.csv", "ITEMID", ["VALUENUM"])):
+        header = draw(st.permutations(["SUBJECT_ID", label, "X", *extra]))
+        tables[file] = (header, draw(_event_table(header, label)))
+    return cohort, tables
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_pass2_case())
+def test_build_dataset_matches_the_per_row_reference(case):
+    cohort, files = case
+    with tempfile.TemporaryDirectory() as d:
+        for name, (header, rows) in files.items():
+            with open(Path(d) / name, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+        events = {t: cohort_etl._columns(Path(d), t, DEFAULT_SCHEMA[t])
+                  for t in ("prescriptions", "chartevents")}
+        tables = RawTables(admissions=[], icustays=[], diagnoses_icd=[], patients=[],
+                           events=events)
+        want = reference_build_dataset(cohort, tables, _PASS2_CFG)
+        # the memo as it is, and one that is cleared every second distinct cell
+        for memo_cells in (cohort_etl._MEMO_CELLS, 2):
+            with mock.patch.object(cohort_etl, "_MEMO_CELLS", memo_cells):
+                got = build_dataset(cohort, tables, _PASS2_CFG)
+            assert got.columns == want.columns
+            assert got.x.tobytes() == want.x.tobytes()
+            np.testing.assert_array_equal(got.y, want.y)

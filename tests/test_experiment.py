@@ -116,6 +116,20 @@ def test_leaky_preparation_failure_skips_the_repeat(setup):
         f"repeat {r}: column 'num_09' is fully missing within the fit rows" for r in range(2))
 
 
+def test_interpolation_overflow_skips_the_split_or_the_repeat():
+    # minority cells of opposite sign near the float limit: interpolating
+    # between 1e308 and -1e308 overflows
+    ds = make_dataset([1e308, -1e308, 5e307, 0, 1, 2, 3, 4, 5, 6], [1] * 3 + [0] * 7)
+    overflow = "column 'f0': ADASYN interpolation overflowed"
+    after = run_experiment(ds, small_cfg(SETUP_AFTER, folds=3)).setup
+    # only the fold that trains on both 1e308 and -1e308 fails
+    assert after.skipped == (f"repeat 0 fold 0: {overflow}",)
+    assert len(after.folds) == 2 and after.mean_auroc is not None
+    before = run_experiment(ds, small_cfg(SETUP_BEFORE, folds=3)).setup
+    assert before.skipped == (f"repeat 0: {overflow}",)
+    assert before.folds == () and before.mean_auroc is None
+
+
 @pytest.mark.parametrize("settings, match", [
     (dict(setup="after"), "unknown setup 'after'"),
     (dict(holdout_test_fraction=0.0), r"holdout_test_fraction must be in \(0, 1\)"),

@@ -386,6 +386,31 @@ def test_infinite_cells_are_refused_before_adasyn():
             make_dataset(cells, [1, 1, 0, 1, 0, 0, 0, 0])
 
 
+# minority cells of opposite sign near the float limit: 1e308 - -1e308 overflows
+OVERFLOWING = make_dataset([1e308, -1e308, 5e307, 0, 1, 2, 3, 4, 5, 6], [1] * 3 + [0] * 7)
+
+
+def test_interpolation_overflow_is_refused_naming_the_column():
+    with pytest.raises(ValueError, match="^column 'f0': ADASYN interpolation overflowed$"):
+        adasyn(OVERFLOWING, range(10), _cfg(seed=0))
+
+
+def test_a_zero_lambda_times_an_overflowed_difference_is_refused(monkeypatch):
+    # 0 * inf is NaN, which would otherwise pass on as a missing cell
+    rng = np.random.default_rng
+
+    class ZeroLambda:
+        def __init__(self, seed):
+            self.integers = rng(seed).integers
+
+        def random(self, size):
+            return np.zeros(size)
+
+    monkeypatch.setattr(np.random, "default_rng", ZeroLambda)
+    with pytest.raises(ValueError, match="^column 'f0': ADASYN interpolation overflowed$"):
+        adasyn(OVERFLOWING, range(10), _cfg(seed=0))
+
+
 def test_binary_cells_thresholded_to_parent_value():
     rng = np.random.default_rng(23)
     ds = random_imbalanced(rng, binary=True)

@@ -1,13 +1,16 @@
 """ETL at MIMIC scale: ``leakaudit etl`` wall time and peak RSS as events grow.
 
-    python3 bench/etl_sweep.py --work DIR [--factors 1 4 16]
+    python3 bench/etl_sweep.py --work DIR [--factors 1 4 16] [--subjects 5000]
 
 Writes the benchmark's MIMIC-shaped tables (``perfbench/mimic_tables.py``,
-seed 1, 5,000 subjects) once, then for each factor f a copy whose CHARTEVENTS
-holds each ICU stay's chart rows f times over, the stay's block repeated in
-file order.  The subjects, and so the cohort and pass 1, stay fixed: about
-0.27M rows in all at x1, 0.73M at x4, 2.5M at x16 and, with ``--factors 64``,
-9.8M.
+seed 1) once for each subject count (default 5,000), then for each factor f a
+copy whose CHARTEVENTS holds each ICU stay's chart rows f times over, the
+stay's block repeated in file order.  The factor scales pass 2 only: the
+subjects, and so the cohort and pass 1, stay fixed.  At 5,000 subjects that is
+about 0.27M rows in all at x1, 0.73M at x4, 2.5M at x16 and, with
+``--factors 64``, 9.8M.  The subject count scales both passes: 20,000 subjects
+give about 1.09M rows at x1, of which 0.23M are in the four tables pass 1
+holds.
 
 Each size is written twice: with the generator's DRUG and LABEL cells, of
 which there are 20 distinct ones each, and with every such cell made distinct
@@ -103,45 +106,61 @@ def run_etl(tables: Path, out: Path) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def run_size(work: Path, base: Path, planted, subjects: int, factor: int,
+             distinct: bool) -> dict:
+    """Run ``leakaudit etl`` on a copy of the tables in ``base`` made by
+    :func:`write_tables`, check its dataset against ``planted``, print one
+    line and return the record; the copy is removed afterwards."""
+    name = f"s{subjects}-x{factor}" + ("-distinct" if distinct else "")
+    tables = work / name
+    chart, cells = write_tables(base, tables, factor, distinct)
+    rows = planted.table_rows + chart - chart // factor
+    out = work / f"out_{name}"
+    result = {"subjects": subjects, "cohort_size": planted.cohort_size, "factor": factor,
+              "distinct_labels": distinct, "rows": rows, "distinct_cells": cells,
+              **run_etl(tables, out)}
+    if result["exit"] == 0:
+        dataset = out / "dataset.csv"
+        result["problems"] = checks.check_dataset(dataset, planted)
+        result["sha256"] = hashlib.sha256(dataset.read_bytes()).hexdigest()
+        print(f"{name}: {rows} rows, {cells} distinct drug and label cells, "
+              f"{result['wall_s']:.3f} s ({result['cpu_s']:.3f} s CPU), "
+              f"VmHWM {result['vmhwm_mb']:.1f} MB", flush=True)
+    else:
+        result["problems"] = [f"leakaudit etl exited with {result['exit']}"]
+    for problem in result["problems"]:
+        print(f"{name}: {problem}", file=sys.stderr)
+    shutil.rmtree(tables)
+    return result
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="etl_sweep", description=__doc__.split("\n\n")[0])
     parser.add_argument("--work", type=Path, required=True,
                         help="a directory for the tables, outputs and etl_sweep.json")
     parser.add_argument("--factors", type=int, nargs="+", default=[1, 4, 16],
                         help="copies of each stay's chart rows, one size each (default 1 4 16)")
+    parser.add_argument("--subjects", type=int, nargs="+", default=[5000],
+                        help="subjects the tables are generated for, one table set each "
+                             "(default 5000)")
     args = parser.parse_args(argv)
     if min(args.factors) < 1:
         parser.error("--factors must be at least 1")
+    if min(args.subjects) < 1:
+        parser.error("--subjects must be at least 1")
 
-    planted = mimic_tables.generate_tables(args.work / "tables", SEED)
     results, failed = [], False
-    for factor, distinct in itertools.product(args.factors, (False, True)):
-        name = f"x{factor}" + ("-distinct" if distinct else "")
-        tables = args.work / name
-        chart, cells = write_tables(args.work / "tables", tables, factor, distinct)
-        rows = planted.table_rows + chart - chart // factor
-        out = args.work / f"out_{name}"
-        result = {"factor": factor, "distinct_labels": distinct, "rows": rows,
-                  "distinct_cells": cells, **run_etl(tables, out)}
-        if result["exit"] == 0:
-            dataset = out / "dataset.csv"
-            result["problems"] = checks.check_dataset(dataset, planted)
-            result["sha256"] = hashlib.sha256(dataset.read_bytes()).hexdigest()
-            print(f"{name}: {rows} rows, {cells} distinct drug and label cells, "
-                  f"{result['wall_s']:.3f} s ({result['cpu_s']:.3f} s CPU), "
-                  f"VmHWM {result['vmhwm_mb']:.1f} MB", flush=True)
-        else:
-            result["problems"] = [f"leakaudit etl exited with {result['exit']}"]
-        for problem in result["problems"]:
-            print(f"{name}: {problem}", file=sys.stderr)
-        failed |= bool(result["problems"])
-        shutil.rmtree(tables)
-        results.append(result)
+    for subjects in args.subjects:
+        base = args.work / f"tables-{subjects}"
+        planted = mimic_tables.generate_tables(base, SEED, n_subjects=subjects)
+        for factor, distinct in itertools.product(args.factors, (False, True)):
+            results.append(run_size(args.work, base, planted, subjects, factor, distinct))
+            failed |= bool(results[-1]["problems"])
 
     import numpy
     (args.work / "etl_sweep.json").write_text(json.dumps({
         "seed": SEED, "python": platform.python_version(), "numpy": numpy.__version__,
-        "nproc": os.cpu_count(), "cohort_size": planted.cohort_size, "sizes": results,
+        "nproc": os.cpu_count(), "sizes": results,
     }, indent=1), encoding="utf-8")
     return 1 if failed else 0
 

@@ -19,10 +19,15 @@ is the prediction target.
 A table needs only the columns of :data:`DEFAULT_SCHEMA`, the ones
 extraction reads; any other column is ignored.  Each table's columns are
 resolved once from its header, in pass 1, and one ``csv.reader`` loop reads
-every table.  Pass 1, :func:`load_tables`, reads ADMISSIONS, ICUSTAYS,
-DIAGNOSES_ICD and PATIENTS into row dicts, from which :func:`extract_cohort`
-fixes the cohort; of PRESCRIPTIONS and CHARTEVENTS it only checks the file and
-header, keeping each one's path and column positions.  Pass 2,
+every table.  Pass 1, :func:`load_tables`, keeps each row of ADMISSIONS,
+ICUSTAYS, DIAGNOSES_ICD and PATIENTS as a tuple of the raw cells extraction
+reads, one ``str`` object per distinct cell, and parses nothing;
+:func:`extract_cohort` fixes the cohort from those, stripping a cell where a
+rule reads it and parsing a time or number only where a rule needs its value
+(the LOS of each stay, but an admission's time only for a candidate subject's
+eligible admissions, and a date of birth only for a cohort subject).  Of
+PRESCRIPTIONS and CHARTEVENTS pass 1 only checks the file and header, keeping
+each one's path and column positions.  Pass 2,
 :func:`build_dataset`, streams each event table once from those without
 building rows: it tests each row's subject cell, then looks up which keys its
 drug or item cell holds, matching each distinct cell once, and drops a row
@@ -39,6 +44,7 @@ import math
 import re
 from dataclasses import dataclass
 from datetime import datetime
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -95,16 +101,22 @@ DEFAULT_SCHEMA = {
 
 @dataclass(frozen=True)
 class RawTables:
-    """Pass-1 tables: row dicts keyed by the field names of :data:`DEFAULT_SCHEMA`.
+    """Pass-1 tables: rows as tuples of raw cells, in file order.
 
-    The two event tables are not held here; ``events`` maps each to its file
-    and {field -> column position}, checked against its header, from which
-    :func:`build_dataset` streams it.
+    A row holds the cells of its table's fields in :data:`DEFAULT_SCHEMA`,
+    in that order: an ADMISSIONS row is ``(subject_id, hadm_id, admit_time,
+    admission_type, diagnosis, expire_flag)``.  Each cell is as the CSV holds
+    it, neither stripped nor parsed, and equal cells are one ``str`` object.
+    Rows are plain tuples, not namedtuples: the garbage collector stops
+    tracking a plain tuple of strings, and would traverse every namedtuple
+    row at each full collection.  The two event tables are not held here;
+    ``events`` maps each to its file and {field -> column position}, checked
+    against its header, from which :func:`build_dataset` streams it.
     """
-    admissions: list[dict]
-    icustays: list[dict]
-    diagnoses_icd: list[dict]
-    patients: list[dict]
+    admissions: list[tuple]
+    icustays: list[tuple]
+    diagnoses_icd: list[tuple]
+    patients: list[tuple]
     events: dict[str, tuple[Path, dict[str, int]]]
 
 
@@ -150,6 +162,8 @@ _TIME = re.compile(r"\d{4}-\d\d-\d\d(?:.\d\d(?::\d\d(?::\d\d(?:\.\d{3}(?:\d{3})?
 
 
 def _parse_time(cell: str) -> datetime | None:
+    """The stripped ``cell`` as a time, or None unless it reads as one."""
+    cell = cell.strip()
     if not _TIME.fullmatch(cell):
         return None
     try:
@@ -158,8 +172,8 @@ def _parse_time(cell: str) -> datetime | None:
         return None
 
 
-# The cells that extraction reads as times or numbers; every other cell
-# stays a stripped string.
+# The cells that extraction reads as times or numbers, each after stripping;
+# every other cell it reads as a stripped string.
 _PARSERS = {
     "admit_time": _parse_time,
     "expire_flag": parse_finite,
@@ -205,15 +219,14 @@ def _cells(path: Path, columns: dict[str, int]):
             yield cells
 
 
-def _read_rows(path: Path, columns: dict[str, int]):
-    """Yield one dict per row of a pass-1 table, keyed by field name: each
-    kept cell is stripped and parsed once, as the row is built, by its
-    :data:`_PARSERS` entry or as text.  Pass 2 reads the event tables in
-    :func:`_matches` without building rows.
+def _rows(path: Path, columns: dict[str, int], share) -> list[tuple]:
+    """The rows of a pass-1 table as tuples of the cells at ``columns`` (in
+    its order), each cell replaced by ``share(cell, cell)``: the
+    ``setdefault`` of a dict of cells, so that equal cells are one object.
+    Pass 2 reads the event tables in :func:`_matches` without building rows.
     """
-    fields = [(key, j, _PARSERS.get(key, str)) for key, j in columns.items()]
-    for cells in _cells(path, columns):
-        yield {key: parse(cells[j].strip()) for key, j, parse in fields}
+    pick = itemgetter(*columns.values())
+    return [tuple(map(share, cells, cells)) for cells in map(pick, _cells(path, columns))]
 
 
 def load_tables(directory, schema: dict | None = None) -> RawTables:
@@ -221,14 +234,15 @@ def load_tables(directory, schema: dict | None = None) -> RawTables:
 
     ``schema`` overrides entries of :data:`DEFAULT_SCHEMA` (table ->
     {field -> column name, "file" -> filename}); a table or field that
-    :data:`DEFAULT_SCHEMA` lacks raises ``ValueError``.  The time and
-    number cells that extraction reads are parsed, unparseable ones becoming
-    ``None``; a time reads only as ``YYYY-MM-DD``, then optionally any one
-    separator and ``HH[:MM[:SS[.fff[fff]]]]``, without a zone.  Row order is preserved.
-    PRESCRIPTIONS and CHARTEVENTS are only checked here (file present, every
-    column in the header); their rows are read by :func:`build_dataset`.  A
-    byte that is not UTF-8, or a cell over csv's size limit, in any table
-    raises ``ValueError`` naming its file and line.
+    :data:`DEFAULT_SCHEMA` lacks raises ``ValueError``.  Each row is kept
+    as a tuple of its raw cells (see :class:`RawTables`), in file order; a
+    short row reads as padded with empty cells, and a blank line is no row.
+    No cell is stripped or parsed here, and one ``str`` object stands for all
+    equal cells of the four tables.  PRESCRIPTIONS and CHARTEVENTS are only
+    checked here (file present, every column in the header); their rows are
+    read by :func:`build_dataset`.  A byte that is not UTF-8, or a cell over
+    csv's size limit, in any table raises ``ValueError`` naming its file and
+    line.
     """
     directory = Path(directory)
     schema = schema or {}
@@ -238,7 +252,8 @@ def load_tables(directory, schema: dict | None = None) -> RawTables:
                 raise ValueError(f"unknown config key schema.{table}.{name}")
     columns = {table: _columns(directory, table, {**defaults, **schema.get(table, {})})
                for table, defaults in DEFAULT_SCHEMA.items()}
-    small = {table: list(_read_rows(*columns[table]))
+    cells: dict[str, str] = {}  # each distinct cell read so far, to itself
+    small = {table: _rows(*columns[table], cells.setdefault)
              for table in columns if table not in _STREAMED}
     return RawTables(**small, events={table: columns[table] for table in _STREAMED})
 
@@ -248,72 +263,99 @@ def _id_key(s: str):
     return (0, int(s), "") if s.isdecimal() else (1, 0, s)
 
 
-def _stay_los(stay: dict) -> float | None:
-    """LOS in days for one ICU stay; falls back to out-in when LOS is missing."""
-    if stay["los"] is not None and stay["los"] >= 0:
-        return float(stay["los"])
-    if stay["in_time"] is not None and stay["out_time"] is not None:
-        days = (stay["out_time"] - stay["in_time"]).total_seconds() / 86400.0
+def _stay_los(stay: tuple) -> float | None:
+    """LOS in days for one ICUSTAYS row; falls back to out - in, parsing the
+    two times only then, when the LOS cell is missing or negative."""
+    _, _, _, in_cell, out_cell, los_cell = stay
+    los = parse_finite(los_cell.strip())
+    if los is not None and los >= 0:
+        return los
+    in_time, out_time = _parse_time(in_cell), _parse_time(out_cell)
+    if in_time is not None and out_time is not None:
+        days = (out_time - in_time).total_seconds() / 86400.0
         if days >= 0:
             return days
     return None
 
 
+def _latest(rows: list[tuple], time: int, id_: int) -> tuple:
+    """The first of ``rows`` whose cell ``time`` is the latest time, a
+    missing time reading as the earliest, ties to the larger id in cell ``id_``."""
+    return max(rows, key=lambda r: (_parse_time(r[time]) or datetime.min,
+                                    _id_key(r[id_].strip())))
+
+
 def extract_cohort(tables: RawTables, cfg: CohortConfig) -> tuple[CohortRow, ...]:
-    """Apply the four extraction rules and return one row per surviving subject."""
+    """Apply the four extraction rules and return one row per surviving subject.
+
+    Each cell is stripped where a rule reads it.  Each distinct expire-flag
+    cell is parsed once and each stay's LOS once, with its in and out times
+    only when the LOS is missing or negative; an admission's time is parsed
+    only for a candidate subject's eligible admissions, a stay's in-time only
+    for the chosen admission's stays, and a date of birth only for a cohort
+    subject.  An unparseable time or number reads as missing; a time reads
+    only as ``YYYY-MM-DD``, then optionally any one separator and
+    ``HH[:MM[:SS[.fff[fff]]]]``, without a zone.
+    """
     keyword = cfg.diagnosis_keyword.lower()
 
-    # rule 1: admission-level expire-flag removal
-    admissions = [a for a in tables.admissions if a["expire_flag"] != 1 and a["hadm_id"]]
-
-    by_subject: dict[str, list[dict]] = {}
-    for a in admissions:
-        by_subject.setdefault(a["subject_id"], []).append(a)
+    # rule 1: admission-level expire-flag removal, each distinct flag cell parsed once
+    expired = {flag: parse_finite(flag.strip()) == 1
+               for flag in {a[-1] for a in tables.admissions}}
+    by_subject: dict[str, list[tuple]] = {}
+    for a in tables.admissions:
+        subject_id, hadm_id, _, _, _, flag = a
+        if not expired[flag] and hadm_id.strip():
+            by_subject.setdefault(subject_id.strip(), []).append(a)
 
     # ICU stays with a usable id and length of stay, grouped by admission
-    stays_by_hadm: dict[str, list[dict]] = {}
+    stays_by_hadm: dict[str, list[tuple]] = {}
     for s in tables.icustays:
-        if s["icustay_id"] and _stay_los(s) is not None:
-            stays_by_hadm.setdefault(s["hadm_id"], []).append(s)
+        _, hadm_id, icustay_id, _, _, _ = s
+        if icustay_id.strip() and _stay_los(s) is not None:
+            stays_by_hadm.setdefault(hadm_id.strip(), []).append(s)
 
     # rule 3 lookup: subjects with a qualifying ICD-9 code
     prefixes = tuple(cfg.icd9_prefixes)
-    icd_subjects = {d["subject_id"] for d in tables.diagnoses_icd
-                    if d["icd9_code"].startswith(prefixes)}
+    icd_subjects = {subject_id.strip() for subject_id, code in tables.diagnoses_icd
+                    if code.strip().startswith(prefixes)}
 
-    genders = {p["subject_id"]: p["gender"] for p in tables.patients}
-    dobs = {p["subject_id"]: p["dob"] for p in tables.patients}
+    patients = {p[0].strip(): p for p in tables.patients}  # a subject's last row
 
     rows = []
     for subject_id in sorted(by_subject):
-        subj_admissions = by_subject[subject_id]
-        # rule 2: keyword in some surviving admission's diagnosis text
-        if not any(keyword in a["diagnosis"].lower() for a in subj_admissions):
-            continue
-        # rule 2: must have an ICU stay attached to a surviving admission
-        eligible = [a for a in subj_admissions if stays_by_hadm.get(a["hadm_id"])]
-        if not eligible:
-            continue
         # rule 3: ICD-9 prefix filter
         if subject_id not in icd_subjects:
             continue
+        subj_admissions = by_subject[subject_id]
+        # rule 2: keyword in some surviving admission's diagnosis text
+        if not any(keyword in diagnosis.strip().lower()
+                   for _, _, _, _, diagnosis, _ in subj_admissions):
+            continue
+        # rule 2: must have an ICU stay attached to a surviving admission
+        eligible = [a for a in subj_admissions if a[1].strip() in stays_by_hadm]  # a[1]: hadm_id
+        if not eligible:
+            continue
         # rule 4: latest admission by admit time, ties to the larger hadm_id
-        last = max(eligible, key=lambda a: (a["admit_time"] or datetime.min, _id_key(a["hadm_id"])))
-        stays = stays_by_hadm[last["hadm_id"]]
-        stay = max(stays, key=lambda s: (s["in_time"] or datetime.min, _id_key(s["icustay_id"])))
+        _, hadm_id, admit_time, admission_type, _, _ = _latest(eligible, time=2, id_=1)
+        hadm_id = hadm_id.strip()
+        # and its latest stay by in-time, ties to the larger icustay_id
+        stay = _latest(stays_by_hadm[hadm_id], time=3, id_=2)
 
-        age = None
-        dob = dobs.get(subject_id)
-        if dob is not None and last["admit_time"] is not None:
-            age = float(int((last["admit_time"] - dob).days / 365.25))
+        age, gender = None, ""
+        if (patient := patients.get(subject_id)) is not None:
+            _, dob, gender = patient
+            admit, dob = _parse_time(admit_time), _parse_time(dob)
+            if admit is not None and dob is not None:
+                age = float(int((admit - dob).days / 365.25))
         rows.append(CohortRow(
             subject_id=subject_id,
-            last_hadm_id=last["hadm_id"],
-            last_icustay_id=stay["icustay_id"],
+            last_hadm_id=hadm_id,
+            last_icustay_id=stay[2].strip(),  # stay[2]: icustay_id
             los=_stay_los(stay),
-            gender=genders.get(subject_id, ""),
+            gender=gender.strip(),
             age_years=age,
-            admission_type=last["admission_type"],
+            admission_type=admission_type.strip(),
         ))
     return tuple(rows)
 

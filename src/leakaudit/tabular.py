@@ -150,8 +150,9 @@ class ImputerModel:
 def fit_imputer(ds: Dataset, rows) -> ImputerModel:
     """Fit per-column fill values using only the cells in ``rows``.
 
-    Raises ValueError if ``rows`` is empty or some column has no observed
-    value within ``rows`` (the error names the column).
+    Raises ValueError if ``rows`` is empty, or if some column has no observed
+    value within ``rows`` or a numeric column's mean overflows (both errors
+    name the column).
     """
     rows = np.asarray(rows, dtype=np.intp)
     if rows.size == 0:
@@ -168,7 +169,10 @@ def fit_imputer(ds: Dataset, rows) -> ImputerModel:
             zeros = observed.size - ones
             fill[j] = 1.0 if ones > zeros else 0.0  # tie -> 0
         else:
-            fill[j] = float(observed.mean())
+            with np.errstate(over="ignore"):  # an overflowed sum is refused below
+                fill[j] = float(observed.mean())
+            if not math.isfinite(fill[j]):
+                raise ValueError(f"column {col.name!r}: the mean of its observed values overflows")
     return ImputerModel(columns=ds.columns, fill=fill)
 
 

@@ -1,7 +1,9 @@
 import csv
 import math
 import re
+import sys
 import tempfile
+import tracemalloc
 from datetime import datetime
 from pathlib import Path
 from unittest import mock
@@ -13,10 +15,14 @@ from hypothesis import given, settings, strategies as st
 from leakaudit import cohort_etl
 from leakaudit.cohort_etl import (DEFAULT_SCHEMA, CohortConfig, CohortRow, RawTables,
                                   build_dataset, extract_cohort, label_los, load_tables)
+from leakaudit.config import parse_config, schema_from_config, section
 from leakaudit.tabular import BINARY, NUMERIC
 
 from conftest import write_empty_tables
-from etl_reference import reference_build_dataset
+from etl_reference import reference_build_dataset, reference_extract_cohort
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import mimic_tables  # noqa: E402  (the benchmark's MIMIC-shaped table generator)
 
 DEMO_CFG = CohortConfig(medication_keys=("heparin", "aspirin"),
                         lab_keys=("glucose", "creatinine"))
@@ -51,23 +57,38 @@ def test_load_empty_tables(tmp_path):
     assert tables.patients == []
 
 
-def test_load_admissions_roundtrip(demo_tables):
+def test_load_admissions_roundtrip(demo_tables, demo_cohort):
     assert len(demo_tables.admissions) == 14
-    first = demo_tables.admissions[0]
-    assert first["subject_id"] == "1"
-    assert first["hadm_id"] == "101"
-    assert first["admission_type"] == "EMERGENCY"
-    assert first["diagnosis"] == "LUNG CANCER;PNEUMONIA"
-    assert first["expire_flag"] == 0
-    assert first["admit_time"].year == 2111
+    subject_id, hadm_id, admit_time, admission_type, diagnosis, expire_flag = \
+        demo_tables.admissions[0]
+    assert subject_id == "1"
+    assert hadm_id == "101"
+    assert admission_type == "EMERGENCY"
+    assert diagnosis == "LUNG CANCER;PNEUMONIA"
+    assert expire_flag == "0"
+    assert admit_time == "2111-06-01 08:00:00"
+    # extraction reads the flag as 0, so admission 101 stays, and its admit
+    # time as 2111: subject 1, born 2050-01-01, is 61
+    row = {r.subject_id: r for r in demo_cohort}["1"]
+    assert row.last_hadm_id == "101"
+    assert row.age_years == 61.0
     # quoted field with an embedded comma survives parsing
-    assert demo_tables.admissions[1]["diagnosis"] == "METASTATIC LUNG CANCER, SMALL CELL"
+    assert demo_tables.admissions[1][4] == "METASTATIC LUNG CANCER, SMALL CELL"
 
 
-def test_unparseable_numeric_cell_becomes_missing(demo_tables):
+def test_equal_cells_are_one_object(demo_tables):
+    cells = [c for table in (demo_tables.admissions, demo_tables.icustays,
+                             demo_tables.diagnoses_icd, demo_tables.patients)
+             for row in table for c in row]
+    assert len({id(c) for c in cells}) == len(set(cells))
+
+
+def test_unparseable_numeric_cell_becomes_missing(demo_tables, demo_cohort):
     # the blank CHARTEVENTS value of subject 1 is covered by test_lab_mean_and_missing
-    blank_los = [s for s in demo_tables.icustays if s["subject_id"] == "12"]
-    assert len(blank_los) == 1 and blank_los[0]["los"] is None
+    blank_los = [los for subject_id, *_, los in demo_tables.icustays if subject_id == "12"]
+    assert blank_los == [""]
+    # read as missing, so the LOS comes from OUTTIME - INTIME
+    assert {r.subject_id: r.los for r in demo_cohort}["12"] == pytest.approx(8.0)
 
 
 @pytest.mark.parametrize("table", sorted(DEFAULT_SCHEMA))
@@ -197,7 +218,11 @@ def test_schema_override_renames_columns(tmp_path, mimic_demo_dir):
     for name in ("ICUSTAYS", "DIAGNOSES_ICD", "PRESCRIPTIONS", "CHARTEVENTS", "PATIENTS"):
         (tmp_path / f"{name}.csv").write_text((mimic_demo_dir / f"{name}.csv").read_text())
     tables = load_tables(tmp_path, {"admissions": {"file": "adm.csv", "expire_flag": "DIED"}})
-    assert sum(a["expire_flag"] for a in tables.admissions) == 2
+    assert sum(flag == "1" for *_, flag in tables.admissions) == 2
+    # the two flags read as 1 through the renamed column: subject 3 is dropped
+    cohort = extract_cohort(tables, DEMO_CFG)
+    assert cohort == extract_cohort(load_tables(mimic_demo_dir), DEMO_CFG)
+    assert "3" not in _ids(cohort)
 
 
 def test_event_rows_outside_the_cohort_are_not_parsed(tmp_path, mimic_demo_dir, monkeypatch):
@@ -280,22 +305,12 @@ def test_time_cell_forms(cell, read):
 # --- the indexed reader against csv.DictReader --------------------------
 
 def _dictreader_rows(path, colmap):
-    """csv.DictReader, a dict per row of every schema field, with a 0/1 expire
-    flag: the reference _read_rows is held to."""
+    """csv.DictReader, a dict per row of every schema field's raw cell, a
+    missing cell read as empty: what the pass-1 reader is held to."""
     fields = {key: column for key, column in colmap.items() if key != "file"}
-    parsers = {key: cohort_etl._PARSERS[key] for key in fields if key in cohort_etl._PARSERS}
-    parsers["expire_flag"] = lambda cell: 1 if cohort_etl.parse_finite(cell) == 1 else 0
     with open(path, newline="") as fh:
         for raw in csv.DictReader(fh):
-            row = {key: (raw.get(column) or "").strip() for key, column in fields.items()}
-            for key, parse in parsers.items():
-                row[key] = parse(row[key])
-            yield row
-
-
-def _rule_1(rows):
-    # extraction reads the expire flag only as ``!= 1``
-    return [{**row, "expire_flag": row["expire_flag"] != 1} for row in rows]
+            yield {key: raw.get(column) or "" for key, column in fields.items()}
 
 
 # a time, a flag, a number and a text field; X and Y are columns no field reads
@@ -324,8 +339,11 @@ def test_indexed_reader_matches_dictreader(table):
         path = Path(d) / _COLMAP["file"]
         with open(path, "w", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerows([header, *rows])
-        got = list(cohort_etl._read_rows(*cohort_etl._columns(Path(d), "t", _COLMAP)))
-        assert _rule_1(got) == _rule_1(_dictreader_rows(path, _COLMAP))
+        shared: dict[str, str] = {}
+        got = cohort_etl._rows(*cohort_etl._columns(Path(d), "t", _COLMAP), shared.setdefault)
+        fields = [key for key in _COLMAP if key != "file"]
+        assert [dict(zip(fields, row)) for row in got] == list(_dictreader_rows(path, _COLMAP))
+        assert all(cell is shared[cell] for row in got for cell in row)
 
 
 # --- extract_cohort ----------------------------------------------------
@@ -381,13 +399,13 @@ def test_los_fallback_from_stay_times(demo_cohort):
 def test_one_row_per_subject_and_subset(demo_tables, demo_cohort):
     ids = _ids(demo_cohort)
     assert len(ids) == len(set(ids))
-    assert set(ids) <= {a["subject_id"] for a in demo_tables.admissions}
+    assert set(ids) <= {subject_id.strip() for subject_id, *_ in demo_tables.admissions}
 
 
 def test_uppercasing_diagnoses_leaves_cohort_unchanged(demo_tables, demo_cohort):
     import dataclasses
     upper = dataclasses.replace(demo_tables, admissions=[
-        {**a, "diagnosis": a["diagnosis"].upper()} for a in demo_tables.admissions])
+        (*a[:4], a[4].upper(), a[5]) for a in demo_tables.admissions])
     assert _ids(extract_cohort(upper, DEMO_CFG)) == _ids(demo_cohort)
 
 
@@ -582,3 +600,74 @@ def test_build_dataset_matches_the_per_row_reference(case):
             assert got.columns == want.columns
             assert got.x.tobytes() == want.x.tobytes()
             np.testing.assert_array_equal(got.y, want.y)
+
+
+# --- extraction against the per-row-dict reference ----------------------
+
+_TIMES = ["2111-06-01 08:00:00", "2111-06-01", " 2111-06-09 10:30 ", "2111-06-05T12:00:00",
+          "2050-01-01 00:00:00", "2111-06-01 08:00:00", "", " ", "x", "2111-13-01",
+          "2111-06-01T08:00:00+00:00"]
+# every cell pool of the four small tables, with padding, blanks and
+# unparseable cells; two hold a comma, so the writer quotes them, and the ids
+# 9, 11 and ٣ (3) sort one way as numbers and another as text.  Usable cells
+# come first and more often, so that most tables keep some subject.
+_PASS1_CELLS = {
+    "SUBJECT_ID": ["1", " 2 ", "2", "3", ""],
+    "HADM_ID": ["11", " 12", "9", "٣", ""],
+    "ICUSTAY_ID": ["91", "102 ", "93", "91", ""],
+    "ADMITTIME": _TIMES, "INTIME": _TIMES, "OUTTIME": _TIMES, "DOB": _TIMES,
+    "ADMISSION_TYPE": ["EMERGENCY", " Urgent", "ELECTIVE, PLANNED", ""],
+    "DIAGNOSIS": ["LUNG CANCER", "lung cancer, small cell", " Cancer ", "PNEUMONIA", ""],
+    "HOSPITAL_EXPIRE_FLAG": ["0", "0", "0", "", "1", "1.0", " 1 ", "1e0", "2", "x", "nan"],
+    "LOS": ["3.2", " 8.5 ", "7", "0", "", " ", "-1", "-0.5", "x", "inf", "nan"],
+    "ICD9_CODE": ["1620", " 1622", "162", "4019", "2162", ""],
+    "GENDER": ["M", " f", "F", ""],
+    "X": ["x", "1", ""],
+}
+
+
+@st.composite
+def _pass1_tables(draw):
+    """The four small tables, each with its schema columns and an unread one
+    in a drawn order; one row in six is cut short, and PATIENTS repeats
+    subjects as every table may."""
+    tables = {}
+    for table in ("admissions", "icustays", "diagnoses_icd", "patients"):
+        header = draw(st.permutations([c for f, c in DEFAULT_SCHEMA[table].items()
+                                       if f != "file"] + ["X"]))
+        row = st.tuples(*(st.sampled_from(_PASS1_CELLS[c]) for c in header)).map(list)
+        rows = draw(st.lists(row, min_size=6, max_size=16))
+        for r in rows:
+            if draw(st.integers(0, 5)) == 0:
+                del r[draw(st.integers(0, len(r) - 1)):]
+        tables[DEFAULT_SCHEMA[table]["file"]] = (header, rows)
+    return tables
+
+
+@settings(max_examples=300, deadline=None)
+@given(files=_pass1_tables(), keyword=st.sampled_from(["cancer", "CANCER", " cancer", "lung"]),
+       prefixes=st.sampled_from([("162",), ("162", "40"), ("2",)]))
+def test_extract_cohort_matches_the_per_row_reference(files, keyword, prefixes):
+    cfg = CohortConfig(diagnosis_keyword=keyword, icd9_prefixes=prefixes)
+    with tempfile.TemporaryDirectory() as d:
+        write_empty_tables(Path(d))
+        for name, (header, rows) in files.items():
+            with open(Path(d) / name, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+        assert extract_cohort(load_tables(d), cfg) == reference_extract_cohort(d, cfg)
+
+
+def test_pass_1_and_extraction_stay_within_their_memory_bound(tmp_path):
+    planted = mimic_tables.generate_tables(tmp_path, 1, n_subjects=1000)
+    values = parse_config(tmp_path / "extraction.cfg")
+    cfg = CohortConfig(**section(values, CohortConfig))
+    tracemalloc.start()
+    try:
+        cohort = extract_cohort(load_tables(tmp_path, schema_from_config(values)), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cohort) == planted.cohort_size
+    # about 2.4 MB with tuples of raw cells, one object per distinct cell; 5.2 MB
+    # with the parsed row dicts these replaced
+    assert peak < 3.5e6

@@ -130,6 +130,20 @@ def test_interpolation_overflow_skips_the_split_or_the_repeat():
     assert before.folds == () and before.mean_auroc is None
 
 
+def test_an_overflowing_imputer_mean_skips_the_split_or_the_repeat():
+    # the observed cells 1e308, 1e308 and 0-6 sum past the float limit; no
+    # RuntimeWarning escapes, or it would fail the test (warnings are errors)
+    ds = make_dataset([1e308, 1e308, np.nan, 0, 1, 2, 3, 4, 5, 6], [1] * 3 + [0] * 7)
+    overflow = "column 'f0': the mean of its observed values overflows"
+    after = run_experiment(ds, small_cfg(SETUP_AFTER, folds=3)).setup
+    # only the fold that trains on both cells of 1e308 fails
+    assert after.skipped == (f"repeat 0 fold 0: {overflow}",)
+    assert len(after.folds) == 2 and after.mean_auroc is not None
+    before = run_experiment(ds, small_cfg(SETUP_BEFORE, folds=3)).setup
+    assert before.skipped == (f"repeat 0: {overflow}",)
+    assert before.folds == () and before.mean_auroc is None
+
+
 @pytest.mark.parametrize("settings, match", [
     (dict(setup="after"), "unknown setup 'after'"),
     (dict(holdout_test_fraction=0.0), r"holdout_test_fraction must be in \(0, 1\)"),

@@ -122,6 +122,21 @@ def test_apply_is_idempotent():
     np.testing.assert_array_equal(once.x, twice.x)
 
 
+# two observed cells of 1e308 sum past the float limit
+OVERFLOWING_MEAN = make_dataset([1e308, 1e308, np.nan, 0, 1, 2, 3, 4, 5, 6], [1] * 3 + [0] * 7)
+
+
+def test_an_overflowing_mean_is_refused_naming_the_column():
+    # a RuntimeWarning from the sum would fail here too: the tests run with warnings as errors
+    with pytest.raises(ValueError,
+                       match="^column 'f0': the mean of its observed values overflows$"):
+        fit_imputer(OVERFLOWING_MEAN, range(10))
+    # without both cells of 1e308 the mean is the same expression's value
+    rows = [1, 2, 3, 4, 5]
+    model = fit_imputer(OVERFLOWING_MEAN, rows)
+    assert model.fill.tobytes() == np.array([np.mean([1e308, 0, 1, 2])]).tobytes()
+
+
 @pytest.mark.parametrize("fill, match", [
     ([0.0], "one fill value per column required"),
     ([[0.0, 1.0]], "one fill value per column required"),

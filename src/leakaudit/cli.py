@@ -4,7 +4,6 @@ Subcommands:
   synth   generate a synthetic cohort CSV (+ JSON sidecar)
   etl     extract a dataset from MIMIC-shaped CSV tables
   run     execute one or all experiment setups and write the report
-  report  re-render the table from an existing report.json
 
 Exit code 0 on success, 1 with a diagnostic on stderr for any error.
 """
@@ -12,14 +11,12 @@ Exit code 0 on success, 1 with a diagnostic on stderr for any error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from . import cohort_etl, config as cfgmod, synth
 from .cohort_etl import CohortConfig
-from .experiment import (ALL_SETUPS, SETUPS, RunConfig, render_payload, render_report,
-                         run_experiment)
+from .experiment import ALL_SETUPS, SETUPS, RunConfig, render_report, run_experiment
 from .forest import ForestConfig
 from .resampling import AdasynConfig
 from .tabular import read_dataset, write_dataset
@@ -90,10 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p_run.add_argument(flag, dest=key, help=text)
     p_run.add_argument("--config", type=Path, default=None, help="key-value config file")
     p_run.add_argument("--out", type=Path, required=True, help="output directory")
-
-    p_report = sub.add_parser("report", help="render the table from a report.json")
-    p_report.add_argument("report_json", type=Path, help="existing report.json")
-    p_report.add_argument("--out", type=Path, required=True, help="output directory")
     return parser
 
 
@@ -151,24 +144,10 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
-    if not args.report_json.is_file():
-        raise FileNotFoundError(f"report file not found: {args.report_json}")
-    try:
-        with open(args.report_json, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        paths = render_payload(payload, args.out)
-    except ValueError as exc:  # malformed JSON or payload; json.JSONDecodeError is one
-        raise ValueError(f"{args.report_json}: {exc}") from None
-    print(f"wrote {paths['json']} and {paths['markdown']}")
-    return 0
-
-
 _COMMANDS = {
     "synth": _cmd_synth,
     "etl": _cmd_etl,
     "run": _cmd_run,
-    "report": _cmd_report,
 }
 
 

@@ -172,18 +172,6 @@ def _parse_time(cell: str) -> datetime | None:
         return None
 
 
-# The cells that extraction reads as times or numbers, each after stripping;
-# every other cell it reads as a stripped string.
-_PARSERS = {
-    "admit_time": _parse_time,
-    "expire_flag": parse_finite,
-    "in_time": _parse_time,
-    "out_time": _parse_time,
-    "los": parse_finite,
-    "value_num": parse_finite,
-    "dob": _parse_time,
-}
-
 # event tables: checked by load_tables, streamed once by build_dataset
 _STREAMED = ("prescriptions", "chartevents")
 
@@ -420,11 +408,11 @@ def build_dataset(cohort: tuple[CohortRow, ...], tables: RawTables, cfg: CohortC
         meds.update((subject, k) for k in found)
     # every value per (subject, lab key), in file order: np.mean sums long
     # lists pairwise, so a running sum would change the last bits
-    parse, value = _PARSERS["value_num"], tables.events["chartevents"][1]["value_num"]
+    value = tables.events["chartevents"][1]["value_num"]
     labs: dict[tuple[str, str], list[float]] = {}
     for subject, found, cells in _matches(tables.events["chartevents"], "item_key", lab_keys,
                                           subjects):
-        if (v := parse(cells[value].strip())) is not None:
+        if (v := parse_finite(cells[value].strip())) is not None:
             for k in found:
                 labs.setdefault((subject, k), []).append(v)
 

@@ -27,7 +27,6 @@ share fold plans wherever their shapes allow.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -231,36 +230,13 @@ def _format_pct(mean, std) -> str:
     return f"{100 * mean:.2f} ± {100 * std:.2f}"
 
 
-def _check_payload(payload) -> None:
-    """Raise ``ValueError`` unless ``payload`` has every key rendering reads."""
-    if not isinstance(payload, dict):
-        raise ValueError("report payload is not an object")
-    for key in ("config", "dataset_fingerprint", "setups"):
-        if key not in payload:
-            raise ValueError(f"report payload has no {key!r}")
-    if not isinstance(payload["setups"], list) or not payload["setups"]:
-        raise ValueError("report payload has no setups")
-    for i, s in enumerate(payload["setups"]):
-        if not isinstance(s, dict):
-            raise ValueError(f"setup entry {i} is not an object")
-        for key in ("name", "mean_auroc", "std_auroc"):
-            if key not in s:
-                raise ValueError(f"setup entry {i} has no {key!r}")
-        if not isinstance(s["name"], str):
-            raise ValueError(f"setup entry {i} has a name that is not a string")
-        # bool is an int subclass, and json reads NaN and Infinity as floats
-        if s["mean_auroc"] is not None and not all(
-                type(s[key]) in (int, float) and math.isfinite(s[key])
-                for key in ("mean_auroc", "std_auroc")):
-            raise ValueError(f"setup entry {i} has an AUROC that is not a finite number")
+def render_report(reports, out_dir) -> dict:
+    """Write ``report.json`` and ``report.md`` under ``out_dir``.
 
-
-def render_payload(payload: dict, out_dir) -> dict:
-    """Write an already-assembled report dict as report.json + report.md.
-
-    The payload is checked before anything is written.
+    The markdown table has one row per setup, in :data:`SETUPS` order;
+    rendering the same reports twice produces identical bytes.
     """
-    _check_payload(payload)
+    payload = report_to_dict(reports)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -270,18 +246,8 @@ def render_payload(payload: dict, out_dir) -> dict:
         fh.write("\n")
 
     lines = ["| Method | AUROC (in %) |", "| --- | --- |"]
-    for s in payload["setups"]:
-        label = SETUPS[s["name"]].label if s["name"] in SETUPS else s["name"]
-        lines.append(f"| {label} | {_format_pct(s['mean_auroc'], s['std_auroc'])} |")
+    lines += [f"| {SETUPS[s['name']].label} | {_format_pct(s['mean_auroc'], s['std_auroc'])} |"
+              for s in payload["setups"]]
     md_path = out_dir / "report.md"
     md_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return {"json": json_path, "markdown": md_path}
-
-
-def render_report(reports, out_dir) -> dict:
-    """Write ``report.json`` and ``report.md`` under ``out_dir``.
-
-    The markdown table has one row per setup, in :data:`SETUPS` order;
-    rendering the same reports twice produces identical bytes.
-    """
-    return render_payload(report_to_dict(reports), out_dir)

@@ -23,9 +23,21 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from leakaudit.cohort_etl import (_PARSERS, _STREAMED, DEFAULT_SCHEMA, CohortConfig, CohortRow,
-                                  RawTables, _columns, _id_key, _normalize_key, label_los)
-from leakaudit.tabular import BINARY, NUMERIC, Column, Dataset, _csv_reader
+from leakaudit.cohort_etl import (_STREAMED, DEFAULT_SCHEMA, CohortConfig, CohortRow, RawTables,
+                                  _columns, _id_key, _normalize_key, _parse_time, label_los)
+from leakaudit.tabular import BINARY, NUMERIC, Column, Dataset, _csv_reader, parse_finite
+
+# The cells that the reference passes read as times or numbers, each after
+# stripping; every other cell they read as a stripped string.
+_PARSERS = {
+    "admit_time": _parse_time,
+    "expire_flag": parse_finite,
+    "in_time": _parse_time,
+    "out_time": _parse_time,
+    "los": parse_finite,
+    "value_num": parse_finite,
+    "dob": _parse_time,
+}
 
 
 def _read_rows(path, columns, subjects=None):

@@ -50,14 +50,14 @@ def test_synth_flag_error_names_the_flag(argv, error, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
-@pytest.mark.parametrize("command", ["run", "etl", "synth", "report"])
+@pytest.mark.parametrize("command", ["run", "etl", "synth"])
 def test_out_that_is_not_a_directory_fails_before_any_input_is_read(command, under, tmp_path,
                                                                    capsys):
     taken = tmp_path / "taken"
     taken.write_text("kept\n")
     absent = tmp_path / "absent"  # an input that would fail if it were read
     inputs = {"run": ["--data", str(absent)], "etl": ["--data-dir", str(absent)],
-              "synth": [], "report": [str(absent)]}[command]
+              "synth": []}[command]
     out = taken / "o" if under else taken
     assert main([command, *inputs, "--out", str(out)]) == 1
     err = capsys.readouterr().err
@@ -176,16 +176,14 @@ def test_run_missing_data_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("kind", ["absent", "directory"])
-@pytest.mark.parametrize("target, noun", [("data", "dataset"), ("config", "config"),
-                                          ("report", "report")])
+@pytest.mark.parametrize("target, noun", [("data", "dataset"), ("config", "config")])
 def test_input_path_that_names_no_file_is_not_found(target, noun, kind, tmp_path, capsys):
     path = tmp_path / "input"
     if kind == "directory":
         path.mkdir()
-    argv = {"data": ["run", "--data", str(path)],
-            "config": ["run", "--data", str(tmp_path / "dataset.csv"), "--config", str(path)],
-            "report": ["report", str(path)]}[target]
-    assert main([*argv, "--out", str(tmp_path / "o")]) == 1
+    argv = {"data": ["--data", str(path)],
+            "config": ["--data", str(tmp_path / "dataset.csv"), "--config", str(path)]}[target]
+    assert main(["run", *argv, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert f"{noun} file not found: {path}" in err and "Errno" not in err
     assert not (tmp_path / "o").exists()
@@ -290,9 +288,11 @@ def test_run_flag_error_names_the_flag(flag, value, error, tmp_path, capsys):
     (["etl", "--data-dir", "d"], "leakaudit etl: error: the following arguments are required: "
      "--out"),
     (["bogus", "--out", "OUT"], "leakaudit: error: argument command: invalid choice: 'bogus'"),
+    (["report", "r.json", "--out", "OUT"],
+     "leakaudit: error: argument command: invalid choice: 'report'"),
     (["synth", "--bogus", "1", "--out", "OUT"],
      "leakaudit: error: unrecognized arguments: --bogus 1"),
-], ids=["type", "choice", "missing", "command", "unknown-flag"])
+], ids=["type", "choice", "missing", "command", "removed-report", "unknown-flag"])
 def test_every_argparse_error_exits_1_on_one_line(argv, error, tmp_path, capsys):
     out = tmp_path / "o"
     assert main([str(out) if arg == "OUT" else arg for arg in argv]) == 1
@@ -305,47 +305,6 @@ def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exit_:
         main(["synth", "--help"])
     assert exit_.value.code == 0 and "usage: leakaudit synth" in capsys.readouterr().out
-
-
-def test_report_rerender_roundtrip(tmp_path):
-    data = tmp_path / "d"
-    main(["synth", "--n-total", "36", "--n-minority", "6", "--seed", "8",
-          "--out", str(data)])
-    main(["run", "--data", str(data / "dataset.csv"), "--setup", "ii",
-          "--folds", "3", "--trees", "8", "--seed", "4", "--out", str(tmp_path / "r1")])
-    rc = main(["report", str(tmp_path / "r1" / "report.json"),
-               "--out", str(tmp_path / "r2")])
-    assert rc == 0
-    assert (tmp_path / "r1" / "report.json").read_bytes() == \
-        (tmp_path / "r2" / "report.json").read_bytes()
-    assert (tmp_path / "r1" / "report.md").read_bytes() == \
-        (tmp_path / "r2" / "report.md").read_bytes()
-
-
-@pytest.mark.parametrize("text", [
-    "not json",
-    "5",
-    '{"config": {}, "dataset_fingerprint": {}, "setups": [5]}',
-    '{"config": {}, "dataset_fingerprint": {}, "setups": [{"name": "x", "std_auroc": 0}]}',
-    '{"config": {}, "dataset_fingerprint": {}, "setups": []}',
-    '{"config": {}, "dataset_fingerprint": {}, "setups": [{"name": ["x"], "mean_auroc": null, '
-    '"std_auroc": null}]}',
-    '{"config": {}, "dataset_fingerprint": {}, "setups": [{"name": "x", "mean_auroc": 0.5, '
-    '"std_auroc": null}]}',
-    '{"config": {}, "dataset_fingerprint": {}, "setups": [{"name": "x", "mean_auroc": true, '
-    '"std_auroc": false}]}',
-    '{"config": {}, "dataset_fingerprint": {}, "setups": [{"name": "x", "mean_auroc": NaN, '
-    '"std_auroc": 0}]}',
-    '{"dataset_fingerprint": {}, "setups": [{"name": "x", "mean_auroc": 0.5, "std_auroc": 0}]}',
-])
-def test_report_rejects_malformed_payload(text, tmp_path, capsys):
-    src = tmp_path / "in.json"
-    src.write_text(text)
-    rc = main(["report", str(src), "--out", str(tmp_path / "o")])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert f"error: {src}: " in err and "Traceback" not in err
-    assert not (tmp_path / "o" / "report.json").exists()
 
 
 # one line past csv's cell limit of 131,072 characters, or one byte that is not UTF-8
@@ -413,7 +372,6 @@ def test_every_file_is_utf8_whatever_the_locale(tmp_path, mimic_demo_dir, mimic_
            "--trees", "5", "--seed", "4", "--out"]
     for argv in (["synth", "--n-total", "30", "--n-minority", "5", "--seed", "3", "--out", data],
                  [*run, ascii_out / "run"],
-                 ["report", ascii_out / "run" / "report.json", "--out", ascii_out / "report"],
                  ["etl", "--data-dir", mimic_demo_dir, "--config", mimic_demo_cfg,
                   "--out", ascii_out / "etl"]):
         done = _leakaudit(*argv, **ascii_run)
@@ -422,4 +380,3 @@ def test_every_file_is_utf8_whatever_the_locale(tmp_path, mimic_demo_dir, mimic_
     expected = (utf8_out / "report.md").read_bytes()
     assert "±".encode() in expected
     assert (ascii_out / "run" / "report.md").read_bytes() == expected
-    assert (ascii_out / "report" / "report.md").read_bytes() == expected

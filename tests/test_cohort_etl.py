@@ -234,10 +234,12 @@ def test_event_rows_outside_the_cohort_are_not_parsed(tmp_path, mimic_demo_dir, 
         return header, rows
 
     directory = _copy_demo(mimic_demo_dir, tmp_path, add_unread_rows)
+    tables = load_tables(directory)
+    cohort = extract_cohort(tables, DEMO_CFG)  # parses LOS and expire flags, not counted
     parsed = []
-    monkeypatch.setitem(cohort_etl._PARSERS, "value_num",
-                        lambda cell: parsed.append(cell) or cohort_etl.parse_finite(cell))
-    _, ds = _dataset(directory)
+    parse = cohort_etl.parse_finite
+    monkeypatch.setattr(cohort_etl, "parse_finite", lambda cell: parsed.append(cell) or parse(cell))
+    ds = build_dataset(cohort, tables, DEMO_CFG)
     assert len(parsed) == 8  # the demo's chart rows, all lab rows of cohort subjects
     assert "x" not in parsed
     assert ds.n_rows == len(EXPECTED_SUBJECTS)

@@ -20,18 +20,19 @@ A table needs only the columns of :data:`DEFAULT_SCHEMA`, the ones
 extraction reads; any other column is ignored.  Each table's columns are
 resolved once from its header, in pass 1, and one ``csv.reader`` loop reads
 every table.  Pass 1, :func:`load_tables`, keeps each row of ADMISSIONS,
-ICUSTAYS, DIAGNOSES_ICD and PATIENTS as a tuple of the raw cells extraction
-reads, one ``str`` object per distinct cell, and parses nothing;
-:func:`extract_cohort` fixes the cohort from those, stripping a cell where a
-rule reads it and parsing a time or number only where a rule needs its value
-(the LOS of each stay, but an admission's time only for a candidate subject's
-eligible admissions, and a date of birth only for a cohort subject).  Of
-PRESCRIPTIONS and CHARTEVENTS pass 1 only checks the file and header, keeping
-each one's path and column positions.  Pass 2,
-:func:`build_dataset`, streams each event table once from those without
-building rows: it tests each row's subject cell, then looks up which keys its
-drug or item cell holds, matching each distinct cell once, and drops a row
-that holds none; a chart value is parsed only for a row that holds a lab key.
+ICUSTAYS, DIAGNOSES_ICD and PATIENTS as a tuple of the cells extraction
+reads, and parses nothing.  It is the one place that strips these cells: it
+strips each distinct cell once, and equal stripped cells are one ``str``.
+:func:`extract_cohort` fixes the cohort from those, parsing a time or number
+only where a rule needs its value (the LOS of each stay, but an admission's
+time only for a candidate subject's eligible admissions, and a date of birth
+only for a cohort subject).  Of PRESCRIPTIONS and CHARTEVENTS pass 1 only
+checks the file and header, keeping each one's path and column positions.
+Pass 2, :func:`build_dataset`, streams each event table once from those
+without building rows: it tests each row's stripped subject cell, then looks
+up which keys its drug or item cell holds, matching each distinct cell once,
+and drops a row that holds none; a chart value is parsed only for a row that
+holds a lab key.
 It keeps, for cohort subjects only, a flag per medication key and the values
 of each lab key, and remembers at most :data:`_MEMO_CELLS` distinct cells.
 Memory is thus bounded by the cohort (and the four small tables), not by the
@@ -101,12 +102,12 @@ DEFAULT_SCHEMA = {
 
 @dataclass(frozen=True)
 class RawTables:
-    """Pass-1 tables: rows as tuples of raw cells, in file order.
+    """Pass-1 tables: rows as tuples of stripped cells, in file order.
 
     A row holds the cells of its table's fields in :data:`DEFAULT_SCHEMA`,
     in that order: an ADMISSIONS row is ``(subject_id, hadm_id, admit_time,
-    admission_type, diagnosis, expire_flag)``.  Each cell is as the CSV holds
-    it, neither stripped nor parsed, and equal cells are one ``str`` object.
+    admission_type, diagnosis, expire_flag)``.  Each cell is stripped (by
+    :func:`load_tables`) but not parsed, and equal cells are one ``str`` object.
     Rows are plain tuples, not namedtuples: the garbage collector stops
     tracking a plain tuple of strings, and would traverse every namedtuple
     row at each full collection.  The two event tables are not held here;
@@ -162,8 +163,7 @@ _TIME = re.compile(r"\d{4}-\d\d-\d\d(?:.\d\d(?::\d\d(?::\d\d(?:\.\d{3}(?:\d{3})?
 
 
 def _parse_time(cell: str) -> datetime | None:
-    """The stripped ``cell`` as a time, or None unless it reads as one."""
-    cell = cell.strip()
+    """``cell``, as pass 1 stripped it, as a time, or None unless it reads as one."""
     if not _TIME.fullmatch(cell):
         return None
     try:
@@ -207,14 +207,24 @@ def _cells(path: Path, columns: dict[str, int]):
             yield cells
 
 
+class _Stripped(dict):
+    """Pass 1's memo: each cell read so far, to itself stripped.  A stripped
+    cell is a key too, to itself, so equal stripped cells are one object."""
+
+    def __missing__(self, cell: str) -> str:
+        stripped = cell.strip()
+        self[cell] = shared = cell if stripped == cell else self[stripped]
+        return shared
+
+
 def _rows(path: Path, columns: dict[str, int], share) -> list[tuple]:
     """The rows of a pass-1 table as tuples of the cells at ``columns`` (in
-    its order), each cell replaced by ``share(cell, cell)``: the
-    ``setdefault`` of a dict of cells, so that equal cells are one object.
-    Pass 2 reads the event tables in :func:`_matches` without building rows.
+    its order), each cell replaced by ``share(cell)``: a lookup in a
+    :class:`_Stripped` memo.  Pass 2 reads the event tables in
+    :func:`_matches` without building rows.
     """
     pick = itemgetter(*columns.values())
-    return [tuple(map(share, cells, cells)) for cells in map(pick, _cells(path, columns))]
+    return [tuple(map(share, cells)) for cells in map(pick, _cells(path, columns))]
 
 
 def load_tables(directory, schema: dict | None = None) -> RawTables:
@@ -223,14 +233,14 @@ def load_tables(directory, schema: dict | None = None) -> RawTables:
     ``schema`` overrides entries of :data:`DEFAULT_SCHEMA` (table ->
     {field -> column name, "file" -> filename}); a table or field that
     :data:`DEFAULT_SCHEMA` lacks raises ``ValueError``.  Each row is kept
-    as a tuple of its raw cells (see :class:`RawTables`), in file order; a
+    as a tuple of its cells (see :class:`RawTables`), in file order; a
     short row reads as padded with empty cells, and a blank line is no row.
-    No cell is stripped or parsed here, and one ``str`` object stands for all
-    equal cells of the four tables.  PRESCRIPTIONS and CHARTEVENTS are only
-    checked here (file present, every column in the header); their rows are
-    read by :func:`build_dataset`.  A byte that is not UTF-8, or a cell over
-    csv's size limit, in any table raises ``ValueError`` naming its file and
-    line.
+    Each distinct cell of the four tables is stripped here, once, and one
+    ``str`` object stands for all equal stripped cells; no cell is parsed.
+    PRESCRIPTIONS and CHARTEVENTS are only checked here (file present, every
+    column in the header); their rows are read by :func:`build_dataset`.  A
+    byte that is not UTF-8, or a cell over csv's size limit, in any table
+    raises ``ValueError`` naming its file and line.
     """
     directory = Path(directory)
     schema = schema or {}
@@ -240,8 +250,8 @@ def load_tables(directory, schema: dict | None = None) -> RawTables:
                 raise ValueError(f"unknown config key schema.{table}.{name}")
     columns = {table: _columns(directory, table, {**defaults, **schema.get(table, {})})
                for table, defaults in DEFAULT_SCHEMA.items()}
-    cells: dict[str, str] = {}  # each distinct cell read so far, to itself
-    small = {table: _rows(*columns[table], cells.setdefault)
+    share = _Stripped().__getitem__
+    small = {table: _rows(*columns[table], share)
              for table in columns if table not in _STREAMED}
     return RawTables(**small, events={table: columns[table] for table in _STREAMED})
 
@@ -255,7 +265,7 @@ def _stay_los(stay: tuple) -> float | None:
     """LOS in days for one ICUSTAYS row; falls back to out - in, parsing the
     two times only then, when the LOS cell is missing or negative."""
     _, _, _, in_cell, out_cell, los_cell = stay
-    los = parse_finite(los_cell.strip())
+    los = parse_finite(los_cell)
     if los is not None and los >= 0:
         return los
     in_time, out_time = _parse_time(in_cell), _parse_time(out_cell)
@@ -269,15 +279,14 @@ def _stay_los(stay: tuple) -> float | None:
 def _latest(rows: list[tuple], time: int, id_: int) -> tuple:
     """The first of ``rows`` whose cell ``time`` is the latest time, a
     missing time reading as the earliest, ties to the larger id in cell ``id_``."""
-    return max(rows, key=lambda r: (_parse_time(r[time]) or datetime.min,
-                                    _id_key(r[id_].strip())))
+    return max(rows, key=lambda r: (_parse_time(r[time]) or datetime.min, _id_key(r[id_])))
 
 
 def extract_cohort(tables: RawTables, cfg: CohortConfig) -> tuple[CohortRow, ...]:
     """Apply the four extraction rules and return one row per surviving subject.
 
-    Each cell is stripped where a rule reads it.  Each distinct expire-flag
-    cell is parsed once and each stay's LOS once, with its in and out times
+    Each cell is read as pass 1 stripped it.  Each distinct expire-flag cell
+    is parsed once and each stay's LOS once, with its in and out times
     only when the LOS is missing or negative; an admission's time is parsed
     only for a candidate subject's eligible admissions, a stay's in-time only
     for the chosen admission's stays, and a date of birth only for a cohort
@@ -288,27 +297,27 @@ def extract_cohort(tables: RawTables, cfg: CohortConfig) -> tuple[CohortRow, ...
     keyword = cfg.diagnosis_keyword.lower()
 
     # rule 1: admission-level expire-flag removal, each distinct flag cell parsed once
-    expired = {flag: parse_finite(flag.strip()) == 1
+    expired = {flag: parse_finite(flag) == 1
                for flag in {a[-1] for a in tables.admissions}}
     by_subject: dict[str, list[tuple]] = {}
     for a in tables.admissions:
         subject_id, hadm_id, _, _, _, flag = a
-        if not expired[flag] and hadm_id.strip():
-            by_subject.setdefault(subject_id.strip(), []).append(a)
+        if not expired[flag] and hadm_id:
+            by_subject.setdefault(subject_id, []).append(a)
 
     # ICU stays with a usable id and length of stay, grouped by admission
     stays_by_hadm: dict[str, list[tuple]] = {}
     for s in tables.icustays:
         _, hadm_id, icustay_id, _, _, _ = s
-        if icustay_id.strip() and _stay_los(s) is not None:
-            stays_by_hadm.setdefault(hadm_id.strip(), []).append(s)
+        if icustay_id and _stay_los(s) is not None:
+            stays_by_hadm.setdefault(hadm_id, []).append(s)
 
     # rule 3 lookup: subjects with a qualifying ICD-9 code
     prefixes = tuple(cfg.icd9_prefixes)
-    icd_subjects = {subject_id.strip() for subject_id, code in tables.diagnoses_icd
-                    if code.strip().startswith(prefixes)}
+    icd_subjects = {subject_id for subject_id, code in tables.diagnoses_icd
+                    if code.startswith(prefixes)}
 
-    patients = {p[0].strip(): p for p in tables.patients}  # a subject's last row
+    patients = {p[0]: p for p in tables.patients}  # a subject's last row
 
     rows = []
     for subject_id in sorted(by_subject):
@@ -317,16 +326,15 @@ def extract_cohort(tables: RawTables, cfg: CohortConfig) -> tuple[CohortRow, ...
             continue
         subj_admissions = by_subject[subject_id]
         # rule 2: keyword in some surviving admission's diagnosis text
-        if not any(keyword in diagnosis.strip().lower()
+        if not any(keyword in diagnosis.lower()
                    for _, _, _, _, diagnosis, _ in subj_admissions):
             continue
         # rule 2: must have an ICU stay attached to a surviving admission
-        eligible = [a for a in subj_admissions if a[1].strip() in stays_by_hadm]  # a[1]: hadm_id
+        eligible = [a for a in subj_admissions if a[1] in stays_by_hadm]  # a[1]: hadm_id
         if not eligible:
             continue
         # rule 4: latest admission by admit time, ties to the larger hadm_id
         _, hadm_id, admit_time, admission_type, _, _ = _latest(eligible, time=2, id_=1)
-        hadm_id = hadm_id.strip()
         # and its latest stay by in-time, ties to the larger icustay_id
         stay = _latest(stays_by_hadm[hadm_id], time=3, id_=2)
 
@@ -339,11 +347,11 @@ def extract_cohort(tables: RawTables, cfg: CohortConfig) -> tuple[CohortRow, ...
         rows.append(CohortRow(
             subject_id=subject_id,
             last_hadm_id=hadm_id,
-            last_icustay_id=stay[2].strip(),  # stay[2]: icustay_id
+            last_icustay_id=stay[2],  # stay[2]: icustay_id
             los=_stay_los(stay),
-            gender=gender.strip(),
+            gender=gender,
             age_years=age,
-            admission_type=admission_type.strip(),
+            admission_type=admission_type,
         ))
     return tuple(rows)
 

@@ -4,7 +4,8 @@ Pass 1 built a dict per row of ADMISSIONS, ICUSTAYS, DIAGNOSES_ICD and
 PATIENTS, every kept cell stripped and every time and number cell parsed as
 the row was built; ``reference_extract_cohort`` is that pass and the
 extraction rules as they read those dicts.  ``extract_cohort`` now reads
-tuples of raw cells and parses a cell only where a rule reads it.
+tuples of cells, each distinct cell stripped once in pass 1, and parses a
+cell only where a rule reads it.
 
 Pass 2 built a parsed dict for every event row of a cohort subject, then
 normalised and searched that row's drug or item text.  ``build_dataset`` now

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from leakaudit import cohort_etl
+from leakaudit.cli import main
 from leakaudit.cohort_etl import (DEFAULT_SCHEMA, CohortConfig, CohortRow, RawTables,
                                   build_dataset, extract_cohort, label_los, load_tables)
 from leakaudit.config import parse_config, schema_from_config, section
@@ -81,6 +82,10 @@ def test_equal_cells_are_one_object(demo_tables):
                              demo_tables.diagnoses_icd, demo_tables.patients)
              for row in table for c in row]
     assert len({id(c) for c in cells}) == len(set(cells))
+    # a padded cell reads as its stripped form, the same object
+    memo = cohort_etl._Stripped()
+    assert memo[" 2 "] == "2"
+    assert memo[" 2 "] is memo["2"]
 
 
 def test_unparseable_numeric_cell_becomes_missing(demo_tables, demo_cohort):
@@ -175,6 +180,21 @@ def test_tables_without_unread_columns_give_the_same_dataset(tmp_path, mimic_dem
     assert slim.column_names == full.column_names
     np.testing.assert_array_equal(slim.x, full.x)
     np.testing.assert_array_equal(slim.y, full.y)
+
+
+def test_padded_cells_give_the_same_dataset_bytes(tmp_path, mimic_demo_dir, mimic_demo_cfg):
+    # every cell of all six tables, the event tables' too, padded on both sides
+    def pad(name, header, rows):
+        return header, [[f" {cell}\t" for cell in row] for row in rows]
+
+    (tmp_path / "padded").mkdir()
+    _copy_demo(mimic_demo_dir, tmp_path / "padded", pad)
+    assert "\t" in (tmp_path / "padded" / "CHARTEVENTS.csv").read_text()
+    for name, data_dir in (("plain", mimic_demo_dir), ("padded-out", tmp_path / "padded")):
+        assert main(["etl", "--data-dir", str(data_dir), "--config", str(mimic_demo_cfg),
+                     "--out", str(tmp_path / name)]) == 0
+    plain = (tmp_path / "plain" / "dataset.csv").read_bytes()
+    assert (tmp_path / "padded-out" / "dataset.csv").read_bytes() == plain
 
 
 def test_admission_types_differing_in_case_share_one_column(tmp_path, mimic_demo_dir):
@@ -307,12 +327,13 @@ def test_time_cell_forms(cell, read):
 # --- the indexed reader against csv.DictReader --------------------------
 
 def _dictreader_rows(path, colmap):
-    """csv.DictReader, a dict per row of every schema field's raw cell, a
-    missing cell read as empty: what the pass-1 reader is held to."""
+    """csv.DictReader, a dict per row of every schema field's cell after
+    ``str.strip``, a missing cell read as empty: what the pass-1 reader is
+    held to."""
     fields = {key: column for key, column in colmap.items() if key != "file"}
     with open(path, newline="") as fh:
         for raw in csv.DictReader(fh):
-            yield {key: raw.get(column) or "" for key, column in fields.items()}
+            yield {key: (raw.get(column) or "").strip() for key, column in fields.items()}
 
 
 # a time, a flag, a number and a text field; X and Y are columns no field reads
@@ -341,11 +362,12 @@ def test_indexed_reader_matches_dictreader(table):
         path = Path(d) / _COLMAP["file"]
         with open(path, "w", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerows([header, *rows])
-        shared: dict[str, str] = {}
-        got = cohort_etl._rows(*cohort_etl._columns(Path(d), "t", _COLMAP), shared.setdefault)
+        memo = cohort_etl._Stripped()
+        got = cohort_etl._rows(*cohort_etl._columns(Path(d), "t", _COLMAP), memo.__getitem__)
         fields = [key for key in _COLMAP if key != "file"]
         assert [dict(zip(fields, row)) for row in got] == list(_dictreader_rows(path, _COLMAP))
-        assert all(cell is shared[cell] for row in got for cell in row)
+        # one object per distinct stripped cell
+        assert all(cell is memo[cell] for row in got for cell in row)
 
 
 # --- extract_cohort ----------------------------------------------------
@@ -646,17 +668,24 @@ def _pass1_tables(draw):
     return tables
 
 
+@pytest.fixture(scope="module")
+def pass1_dir(tmp_path_factory):
+    """One directory for every example: the two event tables are written once,
+    empty, and each example rewrites the four small tables in place."""
+    directory = tmp_path_factory.mktemp("pass1")
+    write_empty_tables(directory)
+    return directory
+
+
 @settings(max_examples=300, deadline=None)
 @given(files=_pass1_tables(), keyword=st.sampled_from(["cancer", "CANCER", " cancer", "lung"]),
        prefixes=st.sampled_from([("162",), ("162", "40"), ("2",)]))
-def test_extract_cohort_matches_the_per_row_reference(files, keyword, prefixes):
+def test_extract_cohort_matches_the_per_row_reference(pass1_dir, files, keyword, prefixes):
     cfg = CohortConfig(diagnosis_keyword=keyword, icd9_prefixes=prefixes)
-    with tempfile.TemporaryDirectory() as d:
-        write_empty_tables(Path(d))
-        for name, (header, rows) in files.items():
-            with open(Path(d) / name, "w", newline="", encoding="utf-8") as fh:
-                csv.writer(fh, lineterminator="\n").writerows([header, *rows])
-        assert extract_cohort(load_tables(d), cfg) == reference_extract_cohort(d, cfg)
+    for name, (header, rows) in files.items():
+        with open(pass1_dir / name, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+    assert extract_cohort(load_tables(pass1_dir), cfg) == reference_extract_cohort(pass1_dir, cfg)
 
 
 def test_pass_1_and_extraction_stay_within_their_memory_bound(tmp_path):
@@ -670,6 +699,6 @@ def test_pass_1_and_extraction_stay_within_their_memory_bound(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(cohort) == planted.cohort_size
-    # about 2.4 MB with tuples of raw cells, one object per distinct cell; 5.2 MB
-    # with the parsed row dicts these replaced
+    # 2.39 MB with tuples of stripped cells, one object per distinct cell; 5.2 MB
+    # with parsed row dicts
     assert peak < 3.5e6

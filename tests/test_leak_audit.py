@@ -117,6 +117,20 @@ def test_lineage_crosses_the_split_only_in_the_leaky_setups(seed, missing_rate, 
                 assert not work.synthetic[test].any() and edges == 0, (name, where, edges)
 
 
+def test_each_folds_synthetic_eval_count_is_its_test_rows_with_parents():
+    # the report's count against one read from the parents of each split's
+    # test rows: a runner that ignored lineage would read 0 in the leaky setups
+    ds = _cohort(seed=3, missing_rate=0.1)
+    for name, setup in SETUPS.items():
+        cfg = RunConfig(setup=name, folds=4, repeats=2, forest=ForestConfig(n_trees=2))
+        want = {(r, f): int((work.parents[test] >= 0).any(axis=1).sum())
+                for r, f, _where, test, work, _train in experiment._splits(ds, cfg, setup, [])}
+        got = {(fold.repeat, fold.fold): fold.contamination.synthetic_rows_in_eval
+               for fold in run_experiment(ds, cfg).setup.folds}
+        assert got == want, name
+        assert (sum(want.values()) > 0) == LEAKS[name], (name, want)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_audit_catches_imputation_before_the_split(seed, monkeypatch):
     cfg = RunConfig(setup=SETUP_AFTER, master_seed=seed, forest=ForestConfig(n_trees=2))

@@ -364,8 +364,9 @@ def label_los(los: float, threshold: float) -> int:
 
 
 def _normalize_key(s: str) -> str:
-    # med/lab keys are matched lowercase with spaces stripped, by containment
-    return s.lower().replace(" ", "")
+    # med/lab keys are matched lowercase without surrounding whitespace or any
+    # space, by containment, so a match cannot run into a cell's padding
+    return s.strip().lower().replace(" ", "")
 
 
 # distinct drug or item cells that _matches remembers at once; it forgets them
@@ -390,7 +391,7 @@ def _matches(event: tuple[Path, dict[str, int]], field: str, keys: list[str],
         if (found := found_in.get(cells[label])) is None:
             if len(found_in) == _MEMO_CELLS:
                 found_in.clear()
-            cell = _normalize_key(cells[label].strip())
+            cell = _normalize_key(cells[label])
             found = found_in[cells[label]] = tuple(k for k in keys if k in cell)
         if found:
             yield sid, found, cells
@@ -420,7 +421,7 @@ def build_dataset(cohort: tuple[CohortRow, ...], tables: RawTables, cfg: CohortC
     labs: dict[tuple[str, str], list[float]] = {}
     for subject, found, cells in _matches(tables.events["chartevents"], "item_key", lab_keys,
                                           subjects):
-        if (v := parse_finite(cells[value].strip())) is not None:
+        if (v := parse_finite(cells[value])) is not None:
             for k in found:
                 labs.setdefault((subject, k), []).append(v)
 

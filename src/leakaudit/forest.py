@@ -11,7 +11,11 @@ after its parent; ``ForestModel.trees`` numbers children within each tree.
 All trees grow together, one depth level per pass, as in presorted
 level-wise split search (SLIQ): each feature is ranked once, and a level's
 search is one argsort of (node, candidate, rank) keys followed by segmented
-cumulative sums of the Gini counts.  Tree t's bootstrap draw comes from
+cumulative sums of the Gini counts.  A binary (0/1) column's cells are its
+ranks; a numeric column is ranked by ``np.unique``.  A pass whose keys are
+all below 2**16 sorts them as ``uint16``, which numpy radix-sorts; the order
+within a run of equal keys, which hold equal values, changes no split.
+Tree t's bootstrap draw comes from
 ``default_rng(derive_seed(seed, "tree", t))`` and is kept as per-row counts.
 A node's candidate features come from a counter-based key: a root's key is
 its tree's seed, a child's is mix(parent key, side), and the candidates are
@@ -27,10 +31,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .seeding import derive_seed
-from .tabular import Column, Dataset
+from .tabular import BINARY, Column, Dataset
 
 # (instance, candidate) pairs per split-search pass; bounds the working set
 _PAIRS_PER_PASS = 4096
+# keys below this bound fit uint16, which numpy's stable argsort radix-sorts
+_RADIX_BOUND = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -99,6 +105,14 @@ def _step(x, row, feature, threshold, left, node):
     return left[node] + (x[row, feature[node]] > threshold[node])
 
 
+def _argsort(keys: np.ndarray, bound: int, kind: str | None = None) -> np.ndarray:
+    """``np.argsort(keys, kind=kind)`` of non-negative integer keys below ``bound``,
+    radix-sorted (so stable) when they fit 16 bits."""
+    if bound <= _RADIX_BOUND:
+        return np.argsort(keys.astype(np.uint16), kind="stable")
+    return np.argsort(keys, kind=kind)
+
+
 def _split_pass(x, y, ranks, node, row, w, size, pos, keys, mtry, min_leaf):
     """Per node, the first lowest-cost (feature, threshold); (-1, +inf) if none.
 
@@ -111,7 +125,7 @@ def _split_pass(x, y, ranks, node, row, w, size, pos, keys, mtry, min_leaf):
     n, p = x.shape
     feats = _candidates(keys, p, mtry)[node]
     key = ((node[:, None] * mtry + np.arange(mtry)) * n + ranks[row[:, None], feats]).ravel()
-    order = np.argsort(key)  # equal keys hold equal values
+    order = _argsort(key, len(keys) * mtry * n)  # equal keys hold equal values
     key, inst = key[order], order // mtry
     seg = key // n  # (node, candidate) segment
     ws = w[inst]
@@ -167,7 +181,7 @@ def _bootstrap(n: int, seeds: list[int], bootstrap: bool):
     return tree, row, counts[tree, row].astype(np.float64)
 
 
-def _grow_forest(x, y, cfg: ForestConfig, mtry: int):
+def _grow_forest(x, y, kinds, cfg: ForestConfig, mtry: int):
     """Grow every tree together, one depth level per pass.
 
     An instance is a (tree, distinct bootstrap row) pair weighing the row's
@@ -175,8 +189,8 @@ def _grow_forest(x, y, cfg: ForestConfig, mtry: int):
     """
     n, p = x.shape
     ranks = np.empty((n, p), dtype=np.int32)
-    for f in range(p):
-        ranks[:, f] = np.unique(x[:, f], return_inverse=True)[1]
+    for f, kind in enumerate(kinds):  # a 0/1 column's cells are its ranks
+        ranks[:, f] = x[:, f] if kind == BINARY else np.unique(x[:, f], return_inverse=True)[1]
     seeds = [derive_seed(cfg.seed, "tree", t) for t in range(cfg.n_trees)]
     node, row, w = _bootstrap(n, seeds, cfg.bootstrap)
     keys, node_tree = np.array(seeds, dtype=np.uint64), np.arange(cfg.n_trees)
@@ -201,7 +215,7 @@ def _grow_forest(x, y, cfg: ForestConfig, mtry: int):
         keep = has[node]
         node, row, w = node[keep], row[keep], w[keep]
         child = _step(x, row, feature, threshold, left - off - m, node)
-        order = np.argsort(child, kind="stable")
+        order = _argsort(child, 2 * has.sum(), kind="stable")
         node, row, w = child[order], row[order], w[order]
         keys = _mix(keys[has, None], np.arange(2, dtype=np.uint64)).ravel()
         node_tree = np.repeat(node_tree[has], 2)
@@ -220,7 +234,7 @@ def train_forest(ds: Dataset, rows, cfg: ForestConfig) -> ForestModel:
         raise ValueError("training rows contain missing cells; impute first")
     p = x.shape[1]
     mtry = cfg.mtry if cfg.mtry is not None else max(1, int(np.sqrt(p)))
-    node_tree, *nodes = _grow_forest(x, y, cfg, min(mtry, p))
+    node_tree, *nodes = _grow_forest(x, y, [c.kind for c in ds.columns], cfg, min(mtry, p))
     return ForestModel(_Nodes(*nodes), node_tree, ds.columns)
 
 

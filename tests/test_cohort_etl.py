@@ -17,7 +17,7 @@ from leakaudit.cli import main
 from leakaudit.cohort_etl import (DEFAULT_SCHEMA, CohortConfig, CohortRow, RawTables,
                                   build_dataset, extract_cohort, label_los, load_tables)
 from leakaudit.config import parse_config, schema_from_config, section
-from leakaudit.tabular import BINARY, NUMERIC
+from leakaudit.tabular import BINARY, NUMERIC, write_dataset
 
 from conftest import write_empty_tables
 from etl_reference import reference_build_dataset, reference_extract_cohort
@@ -195,6 +195,22 @@ def test_padded_cells_give_the_same_dataset_bytes(tmp_path, mimic_demo_dir, mimi
                      "--out", str(tmp_path / name)]) == 0
     plain = (tmp_path / "plain" / "dataset.csv").read_bytes()
     assert (tmp_path / "padded-out" / "dataset.csv").read_bytes() == plain
+
+
+def test_keys_padded_with_a_tab_give_the_same_dataset_bytes(tmp_path, mimic_demo_dir):
+    # a library config skips the config-file parser, which strips each value
+    padded = CohortConfig(medication_keys=("\theparin\t", "aspirin"),
+                          lab_keys=("glucose", "\tcreatinine\t"))
+    tables = load_tables(mimic_demo_dir)
+    for name, cfg in (("bare", DEMO_CFG), ("padded", padded)):
+        ds = build_dataset(extract_cohort(tables, cfg), tables, cfg)
+        (tmp_path / name).mkdir()
+        write_dataset(ds, tmp_path / name / "dataset.csv")
+    # the padded keys still match: the last dataset built is the padded one
+    assert (ds.x[:, ds.column_names.index("med_heparin")] == 1).any()
+    assert not np.isnan(ds.x[:, ds.column_names.index("lab_creatinine")]).all()
+    assert ((tmp_path / "padded" / "dataset.csv").read_bytes()
+            == (tmp_path / "bare" / "dataset.csv").read_bytes())
 
 
 def test_admission_types_differing_in_case_share_one_column(tmp_path, mimic_demo_dir):

@@ -7,6 +7,7 @@ from leakaudit import forest
 from leakaudit.evaluation import auroc
 from leakaudit.forest import (ForestConfig, majority_baseline, predict_proba,
                               train_forest)
+from leakaudit.tabular import BINARY, NUMERIC
 
 from conftest import make_dataset
 from forest_reference import reference_scores
@@ -171,9 +172,9 @@ def test_min_leaf_limits_growth():
 
 # --- the batched grower against the per-node reference -------------------
 
-def _scores(x, y, x_eval, cfg):
-    model = train_forest(make_dataset(x, y), range(len(y)), cfg)
-    return predict_proba(model, make_dataset(x_eval, np.zeros(len(x_eval), dtype=int)),
+def _scores(x, y, x_eval, cfg, kinds=None):
+    model = train_forest(make_dataset(x, y, kinds), range(len(y)), cfg)
+    return predict_proba(model, make_dataset(x_eval, np.zeros(len(x_eval), dtype=int), kinds),
                          range(len(x_eval)))
 
 
@@ -199,6 +200,54 @@ def test_matches_the_reference_grower_exactly_at_full_mtry(data, max_depth, min_
                        mtry=x.shape[1], bootstrap=bootstrap, seed=seed)
     x_eval = np.vstack([x, x + 0.05, x - 0.05])
     np.testing.assert_array_equal(_scores(x, y, x_eval, cfg), reference_scores(x, y, x_eval, cfg))
+
+
+@st.composite
+def binary_beside_numeric(draw):
+    """0/1 columns declared binary beside tie-heavy numeric ones, in a drawn order."""
+    n = draw(st.integers(1, 40))
+    kinds = draw(st.lists(st.sampled_from([BINARY, NUMERIC]), min_size=1, max_size=4))
+    cells = {BINARY: st.integers(0, 1).map(float),
+             NUMERIC: st.integers(-8, 8).map(lambda v: v / 10)}
+    x = np.column_stack([draw(arrays(np.float64, n, elements=cells[k])) for k in kinds])
+    y = draw(arrays(np.int64, n, elements=st.integers(0, 1)))
+    return x, y, kinds
+
+
+@settings(max_examples=150, deadline=None)
+@given(binary_beside_numeric(), st.sampled_from([1, 2, None]), st.integers(1, 3),
+       st.booleans(), st.integers(1, 12), st.integers(0, 2**32))
+def test_binary_columns_ranked_as_their_cells_match_the_reference(data, max_depth, min_leaf,
+                                                                  bootstrap, n_trees, seed):
+    # a binary column skips np.unique: its 0/1 cells are its ranks.  Probes move
+    # only numeric cells, since a binary column holds 0 and 1 alone
+    x, y, kinds = data
+    cfg = ForestConfig(n_trees=n_trees, max_depth=max_depth, min_leaf=min_leaf,
+                       mtry=x.shape[1], bootstrap=bootstrap, seed=seed)
+    step = 0.05 * (np.array(kinds) == NUMERIC)
+    x_eval = np.vstack([x, x + step, x - step])
+    np.testing.assert_array_equal(_scores(x, y, x_eval, cfg, kinds),
+                                  reference_scores(x, y, x_eval, cfg))
+
+
+def test_passes_on_both_sides_of_the_radix_bound_match_the_reference(monkeypatch):
+    # deep levels put many nodes in one pass, so some passes' keys pass 2**16
+    # and are sorted as int64; the shallow ones are radix-sorted as uint16
+    sorts = []  # (bound, largest key) of each sort
+    argsort = forest._argsort
+
+    def spy(keys, bound, kind=None):
+        sorts.append((bound, keys.max(initial=0)))
+        return argsort(keys, bound, kind)
+
+    monkeypatch.setattr(forest, "_argsort", spy)
+    rng = np.random.default_rng(21)
+    x = np.round(rng.standard_normal((300, 3)), 2)
+    y = rng.integers(0, 2, 300)
+    cfg = ForestConfig(n_trees=20, mtry=3, seed=4)
+    np.testing.assert_array_equal(_scores(x, y, x, cfg), reference_scores(x, y, x, cfg))
+    assert any(bound <= forest._RADIX_BOUND for bound, _ in sorts)
+    assert any(top >= forest._RADIX_BOUND for _, top in sorts)
 
 
 @pytest.mark.parametrize("budget, n_trees, bootstrap", [
@@ -235,6 +284,19 @@ def test_pass_size_does_not_change_the_model(monkeypatch):
     monkeypatch.setattr(forest, "_PAIRS_PER_PASS", 5)
     small = train_forest(ds, range(60), cfg)
     for a, b in zip([*default.nodes, default.node_tree], [*small.nodes, small.node_tree],
+                    strict=True):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_radix_sort_does_not_change_the_model(monkeypatch):
+    rng = np.random.default_rng(7)
+    x = np.column_stack([rng.standard_normal((60, 5)), rng.integers(0, 2, (60, 4))])
+    ds = make_dataset(x, rng.integers(0, 2, 60), [NUMERIC] * 5 + [BINARY] * 4)
+    cfg = _forest(seed=3)
+    default = train_forest(ds, range(60), cfg)
+    monkeypatch.setattr(forest, "_RADIX_BOUND", 0)  # every pass sorts as int64
+    wide = train_forest(ds, range(60), cfg)
+    for a, b in zip([*default.nodes, default.node_tree], [*wide.nodes, wide.node_tree],
                     strict=True):
         np.testing.assert_array_equal(a, b)
 

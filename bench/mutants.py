@@ -38,6 +38,10 @@ class Mutant(NamedTuple):
     test: str  # pytest node id, relative to the checkout
 
 
+# M5b's edit, planted against two named tests
+_M5B = (("contamination_check(work.synthetic[test], test_y,",
+         "contamination_check(np.zeros(len(test), dtype=bool), test_y,"),)
+
 MUTANTS = (
     Mutant("M1", "_impute fits the imputer on every row, test rows too",
            "src/leakaudit/experiment.py",
@@ -57,9 +61,12 @@ MUTANTS = (
            "tests/test_acceptance.py::test_criterion_1_leakage_gap"),
     Mutant("M5b", "the runner passes an all-False synthetic mask to contamination_check",
            "src/leakaudit/experiment.py",
-           (("contamination_check(work.synthetic[test], test_y,",
-             "contamination_check(np.zeros(len(test), dtype=bool), test_y,"),),
+           _M5B,
            "tests/test_leak_audit.py::test_each_folds_synthetic_eval_count_is_its_test_rows_with_parents"),
+    Mutant("M5b-c6", "M5b's all-False mask, against acceptance criterion 6",
+           "src/leakaudit/experiment.py",
+           _M5B,
+           "tests/test_acceptance.py::test_criterion_6_contamination_detection"),
     Mutant("F1", "the forest ranks every column as its cells, numeric ones too",
            "src/leakaudit/forest.py",
            (("x[:, f] if kind == BINARY else np.unique(x[:, f], return_inverse=True)[1]",
@@ -121,7 +128,7 @@ def main() -> int:
             finally:
                 source.write_text(original)
             killed = rc == 1  # 1: a test failed; any other code is not a kill
-            print(f"{m.name:4} {'killed' if killed else f'SURVIVED (pytest exit {rc})'}"
+            print(f"{m.name:6} {'killed' if killed else f'SURVIVED (pytest exit {rc})'}"
                   f" in {seconds:.1f} s: {m.what}; {m.test}")
             if not killed:
                 survivors.append(m.name)

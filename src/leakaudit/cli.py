@@ -167,7 +167,7 @@ def main(argv=None) -> int:
     try:
         _check_out(args.out)  # before any input is read
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"leakaudit {args.command}: error: {exc}", file=sys.stderr)
         return 1
 

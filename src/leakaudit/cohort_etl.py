@@ -286,13 +286,13 @@ def extract_cohort(tables: RawTables, cfg: CohortConfig) -> tuple[CohortRow, ...
     """Apply the four extraction rules and return one row per surviving subject.
 
     Each cell is read as pass 1 stripped it.  Each distinct expire-flag cell
-    is parsed once and each stay's LOS once, with its in and out times
-    only when the LOS is missing or negative; an admission's time is parsed
-    only for a candidate subject's eligible admissions, a stay's in-time only
-    for the chosen admission's stays, and a date of birth only for a cohort
-    subject.  An unparseable time or number reads as missing; a time reads
-    only as ``YYYY-MM-DD``, then optionally any one separator and
-    ``HH[:MM[:SS[.fff[fff]]]]``, without a zone.
+    is parsed once, each stay's LOS once and the chosen stay's once more, its
+    in and out times only when the LOS is missing or negative; an admission's
+    time is parsed only for a candidate subject's eligible admissions, a
+    stay's in-time only for the chosen admission's stays, and a date of birth
+    only for a cohort subject.  An unparseable time or number reads as
+    missing; a time reads only as ``YYYY-MM-DD``, then optionally any one
+    separator and ``HH[:MM[:SS[.fff[fff]]]]``, without a zone.
     """
     keyword = cfg.diagnosis_keyword.lower()
 

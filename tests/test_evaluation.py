@@ -204,11 +204,15 @@ def test_confusion_sums_to_n():
 
 # --- contamination_check --------------------------------------------------
 
-def test_excess_positives_flagged():
+def test_surplus_class_members_are_reported_not_flagged():
+    # only lineage flags a fold: in the runner, more positives than the input
+    # has cannot occur without a synthetic row
     synthetic = np.zeros(40, dtype=bool)
     labels = np.array([1] * 20 + [0] * 20)
     report = contamination_check(synthetic, labels, {0: 104, 1: 15})
-    assert report.flagged and report.eval_class_counts[1] == 20
+    assert report.eval_class_counts == {0: 20, 1: 20}
+    assert report.original_class_counts == {0: 104, 1: 15}
+    assert report.flagged is False
 
 
 def test_clean_eval_not_flagged():

@@ -8,9 +8,8 @@ the evaluation rows and moves in at least one split.  The splits come from
 ``experiment._splits``, the preparation ``run_experiment`` trains on, so the
 audit runs each setup's own steps, seed labels and plan.
 
-The contamination flags cannot replace this audit: they look for synthetic
-rows and surplus class members in an evaluation fold, and an imputation leak
-makes neither.
+The contamination flags cannot replace this audit: they flag an evaluation
+fold that holds a synthetic row, and an imputation leak makes none.
 
 A split is one dataset, so lineage is checked directly too: only in the
 leaky setups does a synthetic row sit on one side of a split with a parent on
@@ -119,16 +118,20 @@ def test_lineage_crosses_the_split_only_in_the_leaky_setups(seed, missing_rate, 
 
 def test_each_folds_synthetic_eval_count_is_its_test_rows_with_parents():
     # the report's count against one read from the parents of each split's
-    # test rows: a runner that ignored lineage would read 0 in the leaky setups
+    # test rows: a runner that ignored lineage would read 0 in the leaky setups.
+    # A fold is flagged exactly when that count is positive
     ds = _cohort(seed=3, missing_rate=0.1)
     for name, setup in SETUPS.items():
         cfg = RunConfig(setup=name, folds=4, repeats=2, forest=ForestConfig(n_trees=2))
         want = {(r, f): int((work.parents[test] >= 0).any(axis=1).sum())
                 for r, f, _where, test, work, _train in experiment._splits(ds, cfg, setup, [])}
+        folds = run_experiment(ds, cfg).setup.folds
         got = {(fold.repeat, fold.fold): fold.contamination.synthetic_rows_in_eval
-               for fold in run_experiment(ds, cfg).setup.folds}
+               for fold in folds}
         assert got == want, name
         assert (sum(want.values()) > 0) == LEAKS[name], (name, want)
+        for fold in folds:
+            assert fold.contamination.flagged == (want[fold.repeat, fold.fold] > 0), (name, fold)
 
 
 @pytest.mark.parametrize("seed", range(5))

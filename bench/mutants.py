@@ -56,8 +56,7 @@ MUTANTS = (
            "tests/test_acceptance.py::test_criterion_1_leakage_gap"),
     Mutant("M3", "training includes the test rows",
            "src/leakaudit/experiment.py",
-           (("train = np.setdiff1d(np.arange(work.n_rows), test)",
-             "train = np.arange(work.n_rows)"),),
+           (("train = np.flatnonzero(~is_test)", "train = np.arange(work.n_rows)"),),
            "tests/test_acceptance.py::test_criterion_1_leakage_gap"),
     Mutant("M5b", "the runner passes an all-False synthetic mask to contamination_check",
            "src/leakaudit/experiment.py",
@@ -76,6 +75,10 @@ MUTANTS = (
            "src/leakaudit/forest.py",
            (("if bound <= _RADIX_BOUND:", "if True:"),),
            "tests/test_forest.py::test_passes_on_both_sides_of_the_radix_bound_match_the_reference"),
+    Mutant("F3", "every tree reads tree 0's bootstrap row",
+           "src/leakaudit/forest.py",
+           (("rng.integers(0, n, size=(trees, n))", "rng.integers(0, n, size=(trees, n))[:1]"),),
+           "tests/test_forest.py::test_matches_the_reference_grower_exactly_at_full_mtry"),
 )
 
 

@@ -286,13 +286,13 @@ def extract_cohort(tables: RawTables, cfg: CohortConfig) -> tuple[CohortRow, ...
     """Apply the four extraction rules and return one row per surviving subject.
 
     Each cell is read as pass 1 stripped it.  Each distinct expire-flag cell
-    is parsed once, each stay's LOS once and the chosen stay's once more, its
-    in and out times only when the LOS is missing or negative; an admission's
-    time is parsed only for a candidate subject's eligible admissions, a
-    stay's in-time only for the chosen admission's stays, and a date of birth
-    only for a cohort subject.  An unparseable time or number reads as
-    missing; a time reads only as ``YYYY-MM-DD``, then optionally any one
-    separator and ``HH[:MM[:SS[.fff[fff]]]]``, without a zone.
+    is parsed once and each stay's LOS once, its in and out times only when
+    the LOS is missing or negative; an admission's time is parsed only for a
+    candidate subject's eligible admissions, a stay's in-time only for the
+    chosen admission's stays, and a date of birth only for a cohort subject.
+    An unparseable time or number reads as missing; a time reads only as
+    ``YYYY-MM-DD``, then optionally any one separator and
+    ``HH[:MM[:SS[.fff[fff]]]]``, without a zone.
     """
     keyword = cfg.diagnosis_keyword.lower()
 
@@ -305,12 +305,13 @@ def extract_cohort(tables: RawTables, cfg: CohortConfig) -> tuple[CohortRow, ...
         if not expired[flag] and hadm_id:
             by_subject.setdefault(subject_id, []).append(a)
 
-    # ICU stays with a usable id and length of stay, grouped by admission
+    # ICU stays with a usable id and length of stay, grouped by admission;
+    # each stay is kept with its LOS appended as a seventh cell
     stays_by_hadm: dict[str, list[tuple]] = {}
     for s in tables.icustays:
         _, hadm_id, icustay_id, _, _, _ = s
-        if icustay_id and _stay_los(s) is not None:
-            stays_by_hadm.setdefault(hadm_id, []).append(s)
+        if icustay_id and (los := _stay_los(s)) is not None:
+            stays_by_hadm.setdefault(hadm_id, []).append(s + (los,))
 
     # rule 3 lookup: subjects with a qualifying ICD-9 code
     prefixes = tuple(cfg.icd9_prefixes)
@@ -336,7 +337,7 @@ def extract_cohort(tables: RawTables, cfg: CohortConfig) -> tuple[CohortRow, ...
         # rule 4: latest admission by admit time, ties to the larger hadm_id
         _, hadm_id, admit_time, admission_type, _, _ = _latest(eligible, time=2, id_=1)
         # and its latest stay by in-time, ties to the larger icustay_id
-        stay = _latest(stays_by_hadm[hadm_id], time=3, id_=2)
+        _, _, icustay_id, _, _, _, los = _latest(stays_by_hadm[hadm_id], time=3, id_=2)
 
         age, gender = None, ""
         if (patient := patients.get(subject_id)) is not None:
@@ -347,8 +348,8 @@ def extract_cohort(tables: RawTables, cfg: CohortConfig) -> tuple[CohortRow, ...
         rows.append(CohortRow(
             subject_id=subject_id,
             last_hadm_id=hadm_id,
-            last_icustay_id=stay[2],  # stay[2]: icustay_id
-            los=_stay_los(stay),
+            last_icustay_id=icustay_id,
+            los=los,
             gender=gender,
             age_years=age,
             admission_type=admission_type,

@@ -161,7 +161,9 @@ def _splits(ds: Dataset, cfg: RunConfig, setup: Setup, skipped: list[str]):
                 side = "side" if setup.holdout else "fold"
                 skipped.append(f"{where}: AUROC undefined (single-class test {side})")
                 continue
-            train = np.setdiff1d(np.arange(work.n_rows), test)
+            is_test = np.zeros(work.n_rows, dtype=bool)
+            is_test[test] = True
+            train = np.flatnonzero(~is_test)
             try:
                 split = setup.after(work, train, cfg, r, f) if setup.after else (work, train)
             except ValueError as exc:

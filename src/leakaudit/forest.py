@@ -15,12 +15,14 @@ cumulative sums of the Gini counts.  A binary (0/1) column's cells are its
 ranks; a numeric column is ranked by ``np.unique``.  A pass whose keys are
 all below 2**16 sorts them as ``uint16``, which numpy radix-sorts; the order
 within a run of equal keys, which hold equal values, changes no split.
-Tree t's bootstrap draw comes from
-``default_rng(derive_seed(seed, "tree", t))`` and is kept as per-row counts.
-A node's candidate features come from a counter-based key: a root's key is
-its tree's seed, a child's is mix(parent key, side), and the candidates are
-the ``mtry`` features with the smallest mix(key, feature).  Neither growth
-order nor scheduling can change the model.
+One generator, ``default_rng(derive_seed(seed, "bootstrap"))``, draws every
+tree's bootstrap sample as one (n_trees, n) array; tree t's draw is row t,
+kept as per-row counts.  A node's candidate features come from a
+counter-based key: tree t's root key is mix(derive_seed(seed, "tree"), t), a
+child's is mix(parent key, side), and the candidates are the ``mtry``
+features with the smallest mix(key, feature), drawn once per level.  Neither
+growth order nor scheduling can change the model, and a tree does not depend
+on how many trees grow.
 """
 
 from __future__ import annotations
@@ -113,25 +115,27 @@ def _argsort(keys: np.ndarray, bound: int, kind: str | None = None) -> np.ndarra
     return np.argsort(keys, kind=kind)
 
 
-def _split_pass(x, y, ranks, node, row, w, size, pos, keys, mtry, min_leaf):
+def _split_pass(x, y, ranks, node, row, w, size, pos, cands, min_leaf):
     """Per node, the first lowest-cost (feature, threshold); (-1, +inf) if none.
 
-    Instances are grouped by ``node`` (0, 1, ...) and weigh ``w``.  Cost is
+    Instances are grouped by ``node`` (0, 1, ...) and weigh ``w``; node i's
+    candidate features are ``cands[i]``, searched in that order.  Cost is
     the size-weighted Gini, lp*(ln-lp)/ln + rp*(rn-rp)/rn, on exact integer
     counts.  The first candidate with the strictly lowest cost wins, and
     within it the lowest threshold: the midpoint of two consecutive values,
     or the left one when the midpoint rounds up to the right one.
     """
-    n, p = x.shape
-    feats = _candidates(keys, p, mtry)[node]
+    n = len(x)
+    m, mtry = cands.shape
+    feats = cands[node]
     key = ((node[:, None] * mtry + np.arange(mtry)) * n + ranks[row[:, None], feats]).ravel()
-    order = _argsort(key, len(keys) * mtry * n)  # equal keys hold equal values
+    order = _argsort(key, m * mtry * n)  # equal keys hold equal values
     key, inst = key[order], order // mtry
     seg = key // n  # (node, candidate) segment
     ws = w[inst]
     wys = ws * y[row[inst]]
     cw, cp = np.cumsum(ws), np.cumsum(wys)
-    seg_len = np.repeat(np.bincount(node, minlength=len(keys)), mtry)
+    seg_len = np.repeat(np.bincount(node, minlength=m), mtry)
     start = np.cumsum(seg_len) - seg_len
     # a split point ends a run of equal ranks within its segment
     v = np.flatnonzero((seg[:-1] == seg[1:]) & (key[:-1] != key[1:]))
@@ -150,7 +154,7 @@ def _split_pass(x, y, ranks, node, row, w, size, pos, keys, mtry, min_leaf):
     lo, hi = x[row[inst[best]], f], x[row[inst[best + 1]], f]
     thr = 0.5 * (lo + hi)
     at = seg[best] // mtry
-    feature, threshold = np.full(len(keys), -1), np.full(len(keys), np.inf)
+    feature, threshold = np.full(m, -1), np.full(m, np.inf)
     feature[at], threshold[at] = f, np.where(thr >= hi, lo, thr)
     return feature, threshold
 
@@ -159,8 +163,10 @@ def _best_splits(x, y, ranks, node, row, w, size, pos, keys, mtry, min_leaf):
     """Run ``_split_pass`` over passes of whole nodes.
 
     A pass holds at most ``_PAIRS_PER_PASS`` (instance, candidate) pairs,
-    unless one node alone has more.  Instances are grouped by ``node``.
+    unless one node alone has more.  Instances are grouped by ``node``.  The
+    level's candidates are drawn once, and each pass reads its nodes' rows.
     """
+    cands = _candidates(keys, x.shape[1], mtry)
     first = np.concatenate(([0], np.cumsum(np.bincount(node, minlength=len(keys)))))
     passes, a = [], 0
     while a < len(keys):
@@ -168,15 +174,24 @@ def _best_splits(x, y, ranks, node, row, w, size, pos, keys, mtry, min_leaf):
                                            "right")) - 1)
         i, j = first[a], first[b]
         passes.append(_split_pass(x, y, ranks, node[i:j] - a, row[i:j], w[i:j], size[a:b],
-                                  pos[a:b], keys[a:b], mtry, min_leaf))
+                                  pos[a:b], cands[a:b], min_leaf))
         a = b
     return [np.concatenate(z) for z in zip(*passes)]
 
 
-def _bootstrap(n: int, seeds: list[int], bootstrap: bool):
-    """(tree, row, count) for each row that tree's bootstrap draw holds."""
-    counts = np.stack([np.bincount(np.random.default_rng(s).integers(0, n, size=n), minlength=n)
-                       if bootstrap else np.ones(n, dtype=np.int64) for s in seeds])
+def _bootstrap(n: int, cfg: ForestConfig):
+    """(tree, row, count) for each row that tree's bootstrap draw holds.
+
+    One generator draws every tree's sample as an (n_trees, n) array, filled
+    row by row, so tree t's draw is row t whatever the number of trees.
+    """
+    trees = cfg.n_trees
+    if cfg.bootstrap:
+        rng = np.random.default_rng(derive_seed(cfg.seed, "bootstrap"))
+        draw = rng.integers(0, n, size=(trees, n)) + n * np.arange(trees)[:, None]
+        counts = np.bincount(draw.ravel(), minlength=trees * n).reshape(trees, n)
+    else:
+        counts = np.ones((trees, n), dtype=np.int64)
     tree, row = np.nonzero(counts)
     return tree, row, counts[tree, row].astype(np.float64)
 
@@ -191,9 +206,9 @@ def _grow_forest(x, y, kinds, cfg: ForestConfig, mtry: int):
     ranks = np.empty((n, p), dtype=np.int32)
     for f, kind in enumerate(kinds):  # a 0/1 column's cells are its ranks
         ranks[:, f] = x[:, f] if kind == BINARY else np.unique(x[:, f], return_inverse=True)[1]
-    seeds = [derive_seed(cfg.seed, "tree", t) for t in range(cfg.n_trees)]
-    node, row, w = _bootstrap(n, seeds, cfg.bootstrap)
-    keys, node_tree = np.array(seeds, dtype=np.uint64), np.arange(cfg.n_trees)
+    node, row, w = _bootstrap(n, cfg)
+    node_tree = np.arange(cfg.n_trees)
+    keys = _mix(np.uint64(derive_seed(cfg.seed, "tree")), node_tree.astype(np.uint64))
     levels, off, depth = [], 0, 0
     while len(keys):
         m = len(keys)

@@ -1,9 +1,12 @@
 """Reference forest: the per-node, tree-by-tree grower the batched one replaced.
 
-Each tree grew depth-first from its own ``default_rng`` stream, one node at a
-time.  At ``mtry == p`` no candidate is drawn, so ``tests/test_forest.py``
-requires ``train_forest`` plus ``predict_proba`` to return the same bits as
-``reference_scores``.  Keep it unchanged.
+Each tree grows depth-first, one node at a time, from its bootstrap sample:
+row t of the one (n_trees, n) draw that ``train_forest`` makes from
+``default_rng(derive_seed(seed, "bootstrap"))``.  At ``mtry == p`` no
+candidate is drawn, so ``tests/test_forest.py`` requires ``train_forest`` plus
+``predict_proba`` to return the same bits as ``reference_scores``.  Keep the
+grower unchanged; only the line that draws ``sample`` follows the forest's
+bootstrap draw.
 """
 
 from __future__ import annotations
@@ -113,7 +116,8 @@ def reference_scores(x_train, y_train, x_eval, cfg: ForestConfig) -> np.ndarray:
     for t in range(cfg.n_trees):
         rng = np.random.default_rng(derive_seed(cfg.seed, "tree", t))
         if cfg.bootstrap:
-            sample = rng.integers(0, len(y), size=len(y))
+            sample = np.random.default_rng(derive_seed(cfg.seed, "bootstrap")).integers(
+                0, len(y), size=(cfg.n_trees, len(y)))[t]
             tree = _grow_tree(x_train[sample], y[sample], cfg, mtry, rng)
         else:
             tree = _grow_tree(x_train, y, cfg, mtry, rng)

@@ -42,6 +42,17 @@ def test_same_seed_same_predictions():
                                   predict_proba(m2, probe, range(10)))
 
 
+@pytest.mark.parametrize("seed", [-1, 2**70], ids=["negative", "above-2**64"])
+def test_any_int_seed_trains_the_same_model_twice(seed):
+    # a seed reaches numpy only through derive_seed, which hashes its decimal form
+    rng = np.random.default_rng(4)
+    ds = make_dataset(rng.standard_normal((30, 4)), rng.integers(0, 2, 30))
+    first, second = (train_forest(ds, range(30), _forest(seed=seed)) for _ in range(2))
+    for a, b in zip([*first.nodes, first.node_tree], [*second.nodes, second.node_tree],
+                    strict=True):
+        np.testing.assert_array_equal(a, b)
+
+
 def test_different_seed_changes_forest():
     rng = np.random.default_rng(3)
     ds = make_dataset(rng.standard_normal((40, 3)), rng.integers(0, 2, 40))

@@ -1,10 +1,11 @@
-"""Plant each leak-guard and forest mutant and check that its named test fails.
+"""Plant each leak-guard, forest and ETL mutant and check that its named test fails.
 
     python3 bench/mutants.py
 
-Copies ``src``, ``tests`` and ``pyproject.toml`` (for the pytest settings)
-from this checkout to a temporary directory and first runs every named test
-there unmutated: each must pass, or the script stops with exit 2.  Then, one
+Copies ``src``, ``tests``, ``perfbench`` (the ETL tests import its table
+generator) and ``pyproject.toml`` (for the pytest settings) from this
+checkout to a temporary directory and first runs every named test there
+unmutated: each must pass, or the script stops with exit 2.  Then, one
 mutant at a time, it replaces one snippet of one source file, which must
 occur there exactly once, runs the mutant's named test with ``pytest -x``
 against the copy, and restores the file.  A mutant is killed when its test
@@ -79,6 +80,46 @@ MUTANTS = (
            "src/leakaudit/forest.py",
            (("rng.integers(0, n, size=(trees, n))", "rng.integers(0, n, size=(trees, n))[:1]"),),
            "tests/test_forest.py::test_matches_the_reference_grower_exactly_at_full_mtry"),
+    # the ETL rules, each against its own test in tests/test_cohort_etl.py
+    Mutant("E1", "rule 1 ignores the expire flag",
+           "src/leakaudit/cohort_etl.py",
+           (("if subject_id in icd_subjects and hadm_id and not expired[flag]:",
+             "if subject_id in icd_subjects and hadm_id:"),),
+           "tests/test_cohort_etl.py::test_expired_sole_admission_excluded"),
+    Mutant("E2", "rule 3 finds the ICD-9 prefix anywhere in the code",
+           "src/leakaudit/cohort_etl.py",
+           (("if code.startswith(prefixes)}", "if any(p in code for p in prefixes)}"),),
+           "tests/test_cohort_etl.py::test_keyword_without_prefix_excluded"),
+    Mutant("E3", "rule 4 takes the earliest admission and stay",
+           "src/leakaudit/cohort_etl.py",
+           (("return max(rows, key=", "return min(rows, key="),),
+           "tests/test_cohort_etl.py::test_latest_admission_and_stay_selected"),
+    Mutant("E4", "a stay of exactly the LOS threshold is labelled long",
+           "src/leakaudit/cohort_etl.py",
+           (("return 1 if los > threshold else 0", "return 1 if los >= threshold else 0"),),
+           "tests/test_cohort_etl.py::test_label_boundary_is_short"),
+    Mutant("E5", "rule 2 matches the diagnosis keyword case-sensitively",
+           "src/leakaudit/cohort_etl.py",
+           (("keyword in diagnosis.lower()", "keyword in diagnosis"),),
+           "tests/test_cohort_etl.py::test_uppercasing_diagnoses_leaves_cohort_unchanged"),
+    Mutant("E6", "an age exactly at the cutoff reads as over it",
+           "src/leakaudit/cohort_etl.py",
+           (("r.age_years > cfg.age_cutoff_years", "r.age_years >= cfg.age_cutoff_years"),),
+           "tests/test_cohort_etl.py::test_age_exactly_at_the_cutoff_is_not_over_it"),
+    Mutant("E7", "a lab column holds the first value, not the mean",
+           "src/leakaudit/cohort_etl.py",
+           (("np.mean(labs.get((r.subject_id, k), np.nan))",
+             "labs.get((r.subject_id, k), [np.nan])[0]"),),
+           "tests/test_cohort_etl.py::test_lab_mean_and_missing"),
+    Mutant("E8", "a stay without a LOS cell gets no out - in fallback",
+           "src/leakaudit/cohort_etl.py",
+           (("if in_time is not None and out_time is not None:", "if False:"),),
+           "tests/test_cohort_etl.py::test_los_fallback_from_stay_times"),
+    Mutant("E9", "age is not floored to whole years",
+           "src/leakaudit/cohort_etl.py",
+           (("age = float(int((admit - dob).days / 365.25))",
+             "age = (admit - dob).days / 365.25"),),
+           "tests/test_cohort_etl.py::test_age_is_whole_years_at_the_latest_admission"),
 )
 
 
@@ -104,9 +145,8 @@ def _mutate(text: str, mutant: Mutant) -> str:
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="leakaudit-mutants-") as tmp:
         copy = Path(tmp)
-        shutil.copytree(ROOT / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copytree(ROOT / "tests", copy / "tests",
-                        ignore=shutil.ignore_patterns("__pycache__"))
+        for tree in ("src", "tests", "perfbench"):
+            shutil.copytree(ROOT / tree, copy / tree, ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", copy)
         try:  # every snippet is checked before any test runs
             mutated = {m.name: _mutate((copy / m.path).read_text(), m) for m in MUTANTS}

@@ -23,11 +23,11 @@ every table.  Pass 1, :func:`load_tables`, keeps each row of ADMISSIONS,
 ICUSTAYS, DIAGNOSES_ICD and PATIENTS as a tuple of the cells extraction
 reads, and parses nothing.  It is the one place that strips these cells: it
 strips each distinct cell once, and equal stripped cells are one ``str``.
-:func:`extract_cohort` fixes the cohort from those, parsing a time or number
-only where a rule needs its value (the LOS of each stay, but an admission's
-time only for a candidate subject's eligible admissions, and a date of birth
-only for a cohort subject).  Of PRESCRIPTIONS and CHARTEVENTS pass 1 only
-checks the file and header, keeping each one's path and column positions.
+:func:`extract_cohort` applies rule 3 first, then rule 1 to those subjects'
+admissions, groups only the ICU stays of the admissions left, and parses a
+time or number only where a rule needs its value (see there).  Of
+PRESCRIPTIONS and CHARTEVENTS pass 1 only checks the file and header,
+keeping each one's path and column positions.
 Pass 2, :func:`build_dataset`, streams each event table once from those
 without building rows: it tests each row's stripped subject cell, then looks
 up which keys its drug or item cell holds, matching each distinct cell once,
@@ -286,8 +286,9 @@ def extract_cohort(tables: RawTables, cfg: CohortConfig) -> tuple[CohortRow, ...
     """Apply the four extraction rules and return one row per surviving subject.
 
     Each cell is read as pass 1 stripped it.  Each distinct expire-flag cell
-    is parsed once and each stay's LOS once, its in and out times only when
-    the LOS is missing or negative; an admission's time is parsed only for a
+    is parsed once.  A stay's LOS is parsed only for the stays of admissions
+    past rules 3 and 1, and again for the chosen stay, its in and out times
+    only when the LOS is missing or negative; an admission's time only for a
     candidate subject's eligible admissions, a stay's in-time only for the
     chosen admission's stays, and a date of birth only for a cohort subject.
     An unparseable time or number reads as missing; a time reads only as
@@ -296,35 +297,33 @@ def extract_cohort(tables: RawTables, cfg: CohortConfig) -> tuple[CohortRow, ...
     """
     keyword = cfg.diagnosis_keyword.lower()
 
-    # rule 1: admission-level expire-flag removal, each distinct flag cell parsed once
+    # rule 3: subjects with a qualifying ICD-9 code
+    prefixes = tuple(cfg.icd9_prefixes)
+    icd_subjects = {subject_id for subject_id, code in tables.diagnoses_icd
+                    if code.startswith(prefixes)}
+
+    # rule 1: those subjects' admissions with an id and an expire flag other
+    # than 1, each distinct flag cell parsed once
     expired = {flag: parse_finite(flag) == 1
                for flag in {a[-1] for a in tables.admissions}}
     by_subject: dict[str, list[tuple]] = {}
     for a in tables.admissions:
         subject_id, hadm_id, _, _, _, flag = a
-        if not expired[flag] and hadm_id:
+        if subject_id in icd_subjects and hadm_id and not expired[flag]:
             by_subject.setdefault(subject_id, []).append(a)
 
-    # ICU stays with a usable id and length of stay, grouped by admission;
-    # each stay is kept with its LOS appended as a seventh cell
+    # the ICU stays of those admissions with a usable id and length of stay
+    hadm_ids = {a[1] for admissions in by_subject.values() for a in admissions}
     stays_by_hadm: dict[str, list[tuple]] = {}
     for s in tables.icustays:
         _, hadm_id, icustay_id, _, _, _ = s
-        if icustay_id and (los := _stay_los(s)) is not None:
-            stays_by_hadm.setdefault(hadm_id, []).append(s + (los,))
-
-    # rule 3 lookup: subjects with a qualifying ICD-9 code
-    prefixes = tuple(cfg.icd9_prefixes)
-    icd_subjects = {subject_id for subject_id, code in tables.diagnoses_icd
-                    if code.startswith(prefixes)}
+        if hadm_id in hadm_ids and icustay_id and _stay_los(s) is not None:
+            stays_by_hadm.setdefault(hadm_id, []).append(s)
 
     patients = {p[0]: p for p in tables.patients}  # a subject's last row
 
     rows = []
     for subject_id in sorted(by_subject):
-        # rule 3: ICD-9 prefix filter
-        if subject_id not in icd_subjects:
-            continue
         subj_admissions = by_subject[subject_id]
         # rule 2: keyword in some surviving admission's diagnosis text
         if not any(keyword in diagnosis.lower()
@@ -337,7 +336,7 @@ def extract_cohort(tables: RawTables, cfg: CohortConfig) -> tuple[CohortRow, ...
         # rule 4: latest admission by admit time, ties to the larger hadm_id
         _, hadm_id, admit_time, admission_type, _, _ = _latest(eligible, time=2, id_=1)
         # and its latest stay by in-time, ties to the larger icustay_id
-        _, _, icustay_id, _, _, _, los = _latest(stays_by_hadm[hadm_id], time=3, id_=2)
+        stay = _latest(stays_by_hadm[hadm_id], time=3, id_=2)
 
         age, gender = None, ""
         if (patient := patients.get(subject_id)) is not None:
@@ -348,8 +347,8 @@ def extract_cohort(tables: RawTables, cfg: CohortConfig) -> tuple[CohortRow, ...
         rows.append(CohortRow(
             subject_id=subject_id,
             last_hadm_id=hadm_id,
-            last_icustay_id=icustay_id,
-            los=los,
+            last_icustay_id=stay[2],
+            los=_stay_los(stay),
             gender=gender,
             age_years=age,
             admission_type=admission_type,

@@ -436,6 +436,24 @@ def test_los_fallback_from_stay_times(demo_cohort):
     assert row.los == pytest.approx(8.0)
 
 
+def test_age_is_whole_years_at_the_latest_admission(demo_cohort):
+    # subject 9, born 2040-03-15 and admitted 2100-03-15 06:00, is 21,914
+    # days old: 59.997 years of 365.25 days, floored
+    assert {r.subject_id: r.age_years for r in demo_cohort}["9"] == 59.0
+
+
+def test_only_stays_of_admissions_past_rules_3_and_1_are_parsed(demo_tables, demo_cohort,
+                                                                 monkeypatch):
+    read = []
+    stay_los = cohort_etl._stay_los
+    monkeypatch.setattr(cohort_etl, "_stay_los", lambda stay: read.append(stay) or stay_los(stay))
+    assert extract_cohort(demo_tables, DEMO_CFG) == demo_cohort
+    # hand-traced: admissions with an id and not expired (301 and 702 are),
+    # of subjects with a 162 code (5 and 11 have none)
+    kept = {"101", "201", "401", "601", "701", "801", "802", "901", "1001", "1201"}
+    assert read and {hadm_id for _, hadm_id, *_ in read} <= kept
+
+
 def test_one_row_per_subject_and_subset(demo_tables, demo_cohort):
     ids = _ids(demo_cohort)
     assert len(ids) == len(set(ids))
@@ -538,9 +556,19 @@ def test_age_flag_semantics(demo_dataset, demo_cohort):
     age = lambda sid: dict(zip(cols, _row(demo_dataset, demo_cohort, sid)))["age_gt_60"]
     assert age("1") == 1.0   # 61
     assert age("2") == 0.0   # 40
-    assert age("9") == 0.0   # exactly 60 is not > 60
+    assert age("9") == 0.0   # 59, a day short of 60
     assert age("7") == 1.0   # shifted-dob style age far above the cutoff
     assert age("10") == 0.0  # unknown dob
+
+
+@pytest.mark.parametrize("cutoff", [60.0, 45.5])
+def test_age_exactly_at_the_cutoff_is_not_over_it(demo_tables, cutoff):
+    import dataclasses
+    cohort = tuple(CohortRow(subject_id=f"aged{age}", last_hadm_id="1", last_icustay_id="1",
+                             los=1.0, gender="F", age_years=age, admission_type="URGENT")
+                   for age in (cutoff, cutoff + 1))
+    ds = build_dataset(cohort, demo_tables, dataclasses.replace(DEMO_CFG, age_cutoff_years=cutoff))
+    assert ds.x[:, ds.column_names.index(f"age_gt_{cutoff:g}")].tolist() == [0.0, 1.0]
 
 
 def test_lab_mean_and_missing(demo_dataset, demo_cohort):

@@ -1,4 +1,4 @@
-"""Plant each leak-guard, forest and ETL mutant and check that its named test fails.
+"""Plant each leak-guard, forest, AUROC and ETL mutant and check that its named test fails.
 
     python3 bench/mutants.py
 
@@ -80,6 +80,15 @@ MUTANTS = (
            "src/leakaudit/forest.py",
            (("rng.integers(0, n, size=(trees, n))", "rng.integers(0, n, size=(trees, n))[:1]"),),
            "tests/test_forest.py::test_matches_the_reference_grower_exactly_at_full_mtry"),
+    # AUROC's tie rule: a positive tied with a negative counts half
+    Mutant("A1", "AUROC counts a tie as a win",
+           "src/leakaudit/evaluation.py",
+           (('np.searchsorted(neg, pos, "left")', 'np.searchsorted(neg, pos, "right")'),),
+           "tests/test_evaluation.py::test_all_ties_half"),
+    Mutant("A2", "AUROC counts a tie as a loss",
+           "src/leakaudit/evaluation.py",
+           (('np.searchsorted(neg, pos, "right")', 'np.searchsorted(neg, pos, "left")'),),
+           "tests/test_evaluation.py::test_matches_brute_force_oracle"),
     # the ETL rules, each against its own test in tests/test_cohort_etl.py
     Mutant("E1", "rule 1 ignores the expire flag",
            "src/leakaudit/cohort_etl.py",

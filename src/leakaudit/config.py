@@ -85,7 +85,8 @@ def parse_config(path) -> dict:
     ``schema.*`` values stay strings.  Unknown keys, unparseable values and
     values their section's dataclass rejects raise ``ValueError`` naming
     the file, line and key, as does a value longer than a CSV cell may be; a
-    byte that is not UTF-8, the file and line.
+    byte that is not UTF-8, the file and line.  A refusal that spans keys is
+    checked once every line is read; it names the last line of its section.
     """
     path = Path(path)
     if not path.is_file():
@@ -96,6 +97,7 @@ def parse_config(path) -> dict:
         text = path.read_text(encoding="utf-8", errors="surrogateescape")
         raise _not_utf8(path, text.splitlines()) from None
     values: dict = {}
+    last: dict = {}  # config dataclass -> (line, key) of the last line setting one of its fields
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -110,8 +112,14 @@ def parse_config(path) -> dict:
             values[key] = value
         elif key in KEYS:
             values[key] = parse_value(key, value, f"{path}:{lineno}")
+            last[KEYS[key][0]] = (lineno, key)
         else:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+    for cls, (lineno, key) in last.items():  # a check that spans keys sees their final values
+        try:
+            cls(**section(values, cls))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad value for config key {key!r}: {exc}") from None
     return values
 
 

@@ -3,13 +3,15 @@
 Both split plans, :func:`stratified_kfold` and :func:`stratified_holdout`,
 start from one seeded shuffle of each class's rows, in ``np.unique`` order.
 
-AUROC is the Mann-Whitney statistic (ties count half), which equals the
-trapezoidal area under the ROC curve.  The contamination check is the
-guard that makes oversampling leakage visible: an evaluation fold is
-flagged when it holds a synthetic row, as lineage (``Dataset.synthetic``)
-records.  Its class counts are reported beside the original's, not judged:
-a row that is not synthetic is an original row, so no count can exceed the
-original's without a synthetic row.
+AUROC is U / (n_pos * n_neg), with U the Mann-Whitney statistic: each
+positive counts the negatives scored below it, plus half of those tied with
+it, by binary search in the sorted negative scores.  It equals the
+trapezoidal area under the ROC curve.  The contamination check is the guard
+that makes oversampling leakage visible: an evaluation fold is flagged when
+it holds a synthetic row, as lineage (``Dataset.synthetic``) records.  Its
+class counts are reported beside the original's, not judged: a row that is
+not synthetic is an original row, so no count can exceed the original's
+without a synthetic row.
 """
 
 from __future__ import annotations
@@ -89,33 +91,22 @@ def stratified_holdout(labels, test_fraction: float, seed: int) -> FoldPlan:
     return FoldPlan(folds=(tuple(sorted(test)),))
 
 
-def _average_ranks(v: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties assigned their group average."""
-    order = np.argsort(v, kind="stable")
-    vs = v[order]
-    group_start = np.r_[True, vs[1:] != vs[:-1]]
-    gid = np.cumsum(group_start) - 1
-    sizes = np.bincount(gid)
-    ends = np.cumsum(sizes)
-    avg = ends - (sizes - 1) / 2.0  # mean of ranks end-size+1 .. end
-    ranks = np.empty(len(v))
-    ranks[order] = avg[gid]
-    return ranks
-
-
 def auroc(scores, labels) -> float:
-    """Probability a random positive outranks a random negative, ties half."""
+    """Probability a random positive outranks a random negative, ties half; a NaN
+    score or a label other than 0 or 1 raises ``ValueError``."""
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels)
     if s.shape != y.shape:
         raise ValueError("scores and labels must have equal length")
-    n_pos = int((y == 1).sum())
-    n_neg = int((y == 0).sum())
-    if n_pos == 0 or n_neg == 0:
+    if np.isnan(s).any():
+        raise ValueError("AUROC is undefined for a NaN score")
+    if not ((y == 0) | (y == 1)).all():
+        raise ValueError("labels must be 0 or 1")
+    neg, pos = np.sort(s[y == 0]), s[y == 1]
+    if len(pos) == 0 or len(neg) == 0:
         raise UndefinedAUROCError("AUROC is undefined when only one class is present")
-    ranks = _average_ranks(s)
-    u = ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0
-    return float(u / (n_pos * n_neg))
+    u = (np.searchsorted(neg, pos, "left") + np.searchsorted(neg, pos, "right")).sum() / 2
+    return float(u / (len(pos) * len(neg)))
 
 
 def confusion_matrix(scores, labels) -> dict:

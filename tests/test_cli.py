@@ -89,8 +89,18 @@ def test_etl_duplicate_feature_keys_fail_before_any_table_is_read(tmp_path, caps
                "--out", str(tmp_path / "o")])
     assert rc == 1
     err = capsys.readouterr().err
-    assert ("error: duplicate feature key: lab key 'HEP ARIN' matches medication key 'heparin' "
-            "once lowercased without spaces") in err and "ADMISSIONS" not in err
+    assert (f"error: {cfg}:2: bad value for config key 'features.labs': duplicate feature key: "
+            "lab key 'HEP ARIN' matches medication key 'heparin' once lowercased without spaces"
+            ) in err and "ADMISSIONS" not in err
+
+
+def test_config_clash_that_a_later_line_clears_still_loads(tmp_path):
+    # line 2 clashes with line 1 until line 3 replaces it: only final values are checked
+    cfg = tmp_path / "fixed.cfg"
+    cfg.write_text("features.medications = heparin\nfeatures.labs = heparin\n"
+                   "features.labs = glucose\n")
+    assert parse_config(cfg) == {"features.medications": ("heparin",),
+                                 "features.labs": ("glucose",)}
 
 
 def test_etl_table_file_naming_a_directory_is_missing(tmp_path, capsys):
@@ -247,6 +257,10 @@ def test_config_file_overrides_and_cli_wins(tmp_path):
     ("etl", "features.medications = heparin, Hep arin",
      "bad value for config key 'features.medications': duplicate feature key: medication "
      "key 'Hep arin' matches medication key 'heparin' once lowercased without spaces"),
+    # a clash between two keys, each valid alone: line 7 sets the medications
+    ("etl", "features.labs = heparin",
+     "bad value for config key 'features.labs': duplicate feature key: lab key 'heparin' "
+     "matches medication key 'heparin' once lowercased without spaces"),
 ])
 def test_config_error_names_file_line_and_key(command, line, error, tmp_path, capsys,
                                               mimic_demo_dir, mimic_demo_cfg):

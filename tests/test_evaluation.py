@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from leakaudit.evaluation import (UndefinedAUROCError, auroc, confusion_matrix,
                                   contamination_check, stratified_holdout,
@@ -152,6 +152,31 @@ def test_auroc_pair_oracle_property(pairs):
     if labels.sum() in (0, len(labels)):
         return
     assert auroc(scores, labels) == pytest.approx(brute_force_auroc(scores, labels), abs=1e-12)
+
+
+# tie-heavy scores: signed zeros, infinities and a few repeated values, or any
+# non-NaN float
+_TIED_SCORES = st.one_of(st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, np.inf]),
+                         st.floats(allow_nan=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_TIED_SCORES, st.integers(0, 1)), min_size=2, max_size=200))
+def test_auroc_equals_the_pair_oracle_exactly(pairs):
+    scores = np.array([p[0] for p in pairs])
+    labels = np.array([p[1] for p in pairs])
+    assume(0 < labels.sum() < len(labels))
+    assert auroc(scores, labels) == brute_force_auroc(scores, labels)
+
+
+@pytest.mark.parametrize("scores, labels, match", [
+    ([np.nan, np.nan], [1, 0], "NaN score"),
+    ([np.nan, np.nan], [0, 1], "NaN score"),
+    ([0.1, 0.5, 0.9], [0, 2, 1], "labels must be 0 or 1"),
+], ids=["nan-positive-first", "nan-negative-first", "label-two"])
+def test_auroc_rejects_a_nan_score_or_a_label_outside_0_1(scores, labels, match):
+    with pytest.raises(ValueError, match=match):
+        auroc(scores, labels)
 
 
 def test_invariant_under_increasing_transform():

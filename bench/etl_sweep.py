@@ -6,11 +6,12 @@ Writes the benchmark's MIMIC-shaped tables (``perfbench/mimic_tables.py``,
 seed 1) once for each subject count (default 5,000), then for each factor f a
 copy whose CHARTEVENTS holds each ICU stay's chart rows f times over, the
 stay's block repeated in file order.  The factor scales pass 2 only: the
-subjects, and so the cohort and pass 1, stay fixed.  At 5,000 subjects that is
-about 0.27M rows in all at x1, 0.73M at x4, 2.5M at x16 and, with
-``--factors 64``, 9.8M.  The subject count scales both passes: 20,000 subjects
-give about 1.09M rows at x1, of which 0.23M are in the four tables pass 1
-holds.
+subjects, and so the cohort and its extraction, stay fixed.  At 5,000
+subjects that is about 0.27M rows in all at x1, 0.73M at x4, 2.5M at x16
+and, with ``--factors 64``, 9.8M.  The subject count scales extraction and
+pass 2: 20,000 subjects give about 1.09M rows at x1, of which 0.23M are in
+the four small tables, which extraction streams, keeping only the rows of
+candidate subjects.
 
 Each size is written twice: with the generator's DRUG and LABEL cells, of
 which there are 20 distinct ones each, and with every such cell made distinct

@@ -92,12 +92,12 @@ MUTANTS = (
     # the ETL rules, each against its own test in tests/test_cohort_etl.py
     Mutant("E1", "rule 1 ignores the expire flag",
            "src/leakaudit/cohort_etl.py",
-           (("if subject_id in icd_subjects and hadm_id and not expired[flag]:",
-             "if subject_id in icd_subjects and hadm_id:"),),
+           (("if hadm_id and parse_finite(flag) != 1:", "if hadm_id:"),),
            "tests/test_cohort_etl.py::test_expired_sole_admission_excluded"),
     Mutant("E2", "rule 3 finds the ICD-9 prefix anywhere in the code",
            "src/leakaudit/cohort_etl.py",
-           (("if code.startswith(prefixes)}", "if any(p in code for p in prefixes)}"),),
+           (("lambda code: code.startswith(prefixes)",
+             "lambda code: any(p in code for p in prefixes)"),),
            "tests/test_cohort_etl.py::test_keyword_without_prefix_excluded"),
     Mutant("E3", "rule 4 takes the earliest admission and stay",
            "src/leakaudit/cohort_etl.py",

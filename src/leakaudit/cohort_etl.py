@@ -17,26 +17,25 @@ The per-stay length of stay, binarized at a configurable threshold,
 is the prediction target.
 
 A table needs only the columns of :data:`DEFAULT_SCHEMA`, the ones
-extraction reads; any other column is ignored.  Each table's columns are
-resolved once from its header, in pass 1, and one ``csv.reader`` loop reads
-every table.  Pass 1, :func:`load_tables`, keeps each row of ADMISSIONS,
-ICUSTAYS, DIAGNOSES_ICD and PATIENTS as a tuple of the cells extraction
-reads, and parses nothing.  It is the one place that strips these cells: it
-strips each distinct cell once, and equal stripped cells are one ``str``.
-:func:`extract_cohort` applies rule 3 first, then rule 1 to those subjects'
-admissions, groups only the ICU stays of the admissions left, and parses a
-time or number only where a rule needs its value (see there).  Of
-PRESCRIPTIONS and CHARTEVENTS pass 1 only checks the file and header,
-keeping each one's path and column positions.
-Pass 2, :func:`build_dataset`, streams each event table once from those
-without building rows: it tests each row's stripped subject cell, then looks
+extraction reads; any other column is ignored.  Pass 1, :func:`load_tables`,
+resolves each table's file and columns once from its header and reads no
+row.  One ``csv.reader`` loop then reads every table, once each and to its
+end.  :func:`extract_cohort` streams the four small tables: DIAGNOSES_ICD
+for rule 3, then ADMISSIONS for rule 1 on those subjects, ICUSTAYS for the
+stays of the admissions left, and PATIENTS for the subjects still standing.
+It tests each row on one stripped cell and strips the row's other cells only
+when it keeps the row; it parses a time or number only where a rule needs
+its value (see there).
+Pass 2, :func:`build_dataset`, streams each event table once without
+building rows: it tests each row's stripped subject cell, then looks
 up which keys its drug or item cell holds, matching each distinct cell once,
 and drops a row that holds none; a chart value is parsed only for a row that
 holds a lab key.
 It keeps, for cohort subjects only, a flag per medication key and the values
 of each lab key, and remembers at most :data:`_MEMO_CELLS` distinct cells.
-Memory is thus bounded by the cohort (and the four small tables), not by the
-number of events or of distinct drug and item cells.
+Memory is thus bounded by the candidate subjects (those past rules 3 and 1)
+and their rows, not by the rows of any table or the number of distinct drug
+and item cells.
 """
 
 from __future__ import annotations
@@ -102,23 +101,15 @@ DEFAULT_SCHEMA = {
 
 @dataclass(frozen=True)
 class RawTables:
-    """Pass-1 tables: rows as tuples of stripped cells, in file order.
+    """Pass-1 tables: each table's file and {field -> column position}.
 
-    A row holds the cells of its table's fields in :data:`DEFAULT_SCHEMA`,
-    in that order: an ADMISSIONS row is ``(subject_id, hadm_id, admit_time,
-    admission_type, diagnosis, expire_flag)``.  Each cell is stripped (by
-    :func:`load_tables`) but not parsed, and equal cells are one ``str`` object.
-    Rows are plain tuples, not namedtuples: the garbage collector stops
-    tracking a plain tuple of strings, and would traverse every namedtuple
-    row at each full collection.  The two event tables are not held here;
-    ``events`` maps each to its file and {field -> column position}, checked
-    against its header, from which :func:`build_dataset` streams it.
+    ``files`` maps each table of :data:`DEFAULT_SCHEMA` to its path and the
+    column position of each of its fields, in the schema's field order, as
+    checked against its header.  No row is held: :func:`extract_cohort`
+    streams the four small tables from here and :func:`build_dataset` the
+    two event tables.
     """
-    admissions: list[tuple]
-    icustays: list[tuple]
-    diagnoses_icd: list[tuple]
-    patients: list[tuple]
-    events: dict[str, tuple[Path, dict[str, int]]]
+    files: dict[str, tuple[Path, dict[str, int]]]
 
 
 @dataclass(frozen=True)
@@ -163,17 +154,13 @@ _TIME = re.compile(r"\d{4}-\d\d-\d\d(?:.\d\d(?::\d\d(?::\d\d(?:\.\d{3}(?:\d{3})?
 
 
 def _parse_time(cell: str) -> datetime | None:
-    """``cell``, as pass 1 stripped it, as a time, or None unless it reads as one."""
+    """``cell``, stripped, as a time, or None unless it reads as one."""
     if not _TIME.fullmatch(cell):
         return None
     try:
         return datetime.fromisoformat(cell)
     except ValueError:  # out of range: month 13, hour 25, ...
         return None
-
-
-# event tables: checked by load_tables, streamed once by build_dataset
-_STREAMED = ("prescriptions", "chartevents")
 
 
 def _columns(directory: Path, table: str, colmap: dict) -> tuple[Path, dict[str, int]]:
@@ -207,40 +194,30 @@ def _cells(path: Path, columns: dict[str, int]):
             yield cells
 
 
-class _Stripped(dict):
-    """Pass 1's memo: each cell read so far, to itself stripped.  A stripped
-    cell is a key too, to itself, so equal stripped cells are one object."""
-
-    def __missing__(self, cell: str) -> str:
-        stripped = cell.strip()
-        self[cell] = shared = cell if stripped == cell else self[stripped]
-        return shared
-
-
-def _rows(path: Path, columns: dict[str, int], share) -> list[tuple]:
-    """The rows of a pass-1 table as tuples of the cells at ``columns`` (in
-    its order), each cell replaced by ``share(cell)``: a lookup in a
-    :class:`_Stripped` memo.  Pass 2 reads the event tables in
-    :func:`_matches` without building rows.
+def _kept(table: tuple[Path, dict[str, int]], key: int, keep):
+    """Yield each row of ``table`` (a file and its columns) for which
+    ``keep(cell)`` holds, ``cell`` being the row's stripped ``key``-th field,
+    as a tuple of its fields' stripped cells in the columns' order.  Every row
+    is read, to the end of the file, but only a kept row is stripped whole.
     """
-    pick = itemgetter(*columns.values())
-    return [tuple(map(share, cells)) for cells in map(pick, _cells(path, columns))]
+    path, columns = table
+    for row in map(itemgetter(*columns.values()), _cells(path, columns)):
+        if keep(row[key].strip()):
+            yield tuple(map(str.strip, row))
 
 
 def load_tables(directory, schema: dict | None = None) -> RawTables:
-    """Pass 1: load the four small tables from ``directory``.
+    """Pass 1: resolve every table's file and columns in ``directory``.
 
     ``schema`` overrides entries of :data:`DEFAULT_SCHEMA` (table ->
     {field -> column name, "file" -> filename}); a table or field that
-    :data:`DEFAULT_SCHEMA` lacks raises ``ValueError``.  Each row is kept
-    as a tuple of its cells (see :class:`RawTables`), in file order; a
-    short row reads as padded with empty cells, and a blank line is no row.
-    Each distinct cell of the four tables is stripped here, once, and one
-    ``str`` object stands for all equal stripped cells; no cell is parsed.
-    PRESCRIPTIONS and CHARTEVENTS are only checked here (file present, every
-    column in the header); their rows are read by :func:`build_dataset`.  A
-    byte that is not UTF-8, or a cell over csv's size limit, in any table
-    raises ``ValueError`` naming its file and line.
+    :data:`DEFAULT_SCHEMA` lacks raises ``ValueError``.  Each of the six
+    files must exist and its header name every column; no row is read here.
+    The four small tables are read by :func:`extract_cohort` and the two
+    event tables by :func:`build_dataset`, where a byte that is not UTF-8, or
+    a cell over csv's size limit, raises ``ValueError`` naming its file and
+    line.  (A byte that the UTF-8 decoder reads ahead with the header, in
+    the file's first few kilobytes, fails here.)
     """
     directory = Path(directory)
     schema = schema or {}
@@ -248,12 +225,8 @@ def load_tables(directory, schema: dict | None = None) -> RawTables:
         for name in fields:
             if name not in DEFAULT_SCHEMA.get(table, {}):
                 raise ValueError(f"unknown config key schema.{table}.{name}")
-    columns = {table: _columns(directory, table, {**defaults, **schema.get(table, {})})
-               for table, defaults in DEFAULT_SCHEMA.items()}
-    share = _Stripped().__getitem__
-    small = {table: _rows(*columns[table], share)
-             for table in columns if table not in _STREAMED}
-    return RawTables(**small, events={table: columns[table] for table in _STREAMED})
+    return RawTables({table: _columns(directory, table, {**defaults, **schema.get(table, {})})
+                      for table, defaults in DEFAULT_SCHEMA.items()})
 
 
 def _id_key(s: str):
@@ -285,42 +258,50 @@ def _latest(rows: list[tuple], time: int, id_: int) -> tuple:
 def extract_cohort(tables: RawTables, cfg: CohortConfig) -> tuple[CohortRow, ...]:
     """Apply the four extraction rules and return one row per surviving subject.
 
-    Each cell is read as pass 1 stripped it.  Each distinct expire-flag cell
-    is parsed once.  A stay's LOS is parsed only for the stays of admissions
-    past rules 3 and 1, and again for the chosen stay, its in and out times
-    only when the LOS is missing or negative; an admission's time only for a
-    candidate subject's eligible admissions, a stay's in-time only for the
-    chosen admission's stays, and a date of birth only for a cohort subject.
+    Streams each of the four small tables once, to its end, and keeps only
+    the rows of candidate subjects, each cell stripped: DIAGNOSES_ICD's
+    qualifying codes' subjects (rule 3), their admissions that have an id and
+    an expire flag other than 1 (rule 1), those admissions' ICU stays with an
+    id and a length of stay, and the last PATIENTS row of each subject left.
+    A byte that is not UTF-8, or a cell over csv's size limit, anywhere in
+    these tables raises ``ValueError`` naming its file and line, whether or
+    not its row would be kept.
+
+    A stay's LOS is parsed only for the stays of admissions past rules 3 and
+    1, and again for the chosen stay, its in and out times only when the LOS
+    is missing or negative; an expire flag only for those subjects'
+    admissions, an admission's time only for a candidate subject's eligible
+    admissions, a stay's in-time only for the chosen admission's stays, and a
+    date of birth only for a cohort subject.
     An unparseable time or number reads as missing; a time reads only as
     ``YYYY-MM-DD``, then optionally any one separator and
     ``HH[:MM[:SS[.fff[fff]]]]``, without a zone.
     """
     keyword = cfg.diagnosis_keyword.lower()
+    files = tables.files
 
     # rule 3: subjects with a qualifying ICD-9 code
     prefixes = tuple(cfg.icd9_prefixes)
-    icd_subjects = {subject_id for subject_id, code in tables.diagnoses_icd
-                    if code.startswith(prefixes)}
+    icd_subjects = {subject_id for subject_id, _ in
+                    _kept(files["diagnoses_icd"], 1, lambda code: code.startswith(prefixes))}
 
-    # rule 1: those subjects' admissions with an id and an expire flag other
-    # than 1, each distinct flag cell parsed once
-    expired = {flag: parse_finite(flag) == 1
-               for flag in {a[-1] for a in tables.admissions}}
+    # rule 1: those subjects' admissions with an id and an expire flag other than 1
     by_subject: dict[str, list[tuple]] = {}
-    for a in tables.admissions:
+    for a in _kept(files["admissions"], 0, icd_subjects.__contains__):
         subject_id, hadm_id, _, _, _, flag = a
-        if subject_id in icd_subjects and hadm_id and not expired[flag]:
+        if hadm_id and parse_finite(flag) != 1:
             by_subject.setdefault(subject_id, []).append(a)
 
     # the ICU stays of those admissions with a usable id and length of stay
     hadm_ids = {a[1] for admissions in by_subject.values() for a in admissions}
     stays_by_hadm: dict[str, list[tuple]] = {}
-    for s in tables.icustays:
+    for s in _kept(files["icustays"], 1, hadm_ids.__contains__):
         _, hadm_id, icustay_id, _, _, _ = s
-        if hadm_id in hadm_ids and icustay_id and _stay_los(s) is not None:
+        if icustay_id and _stay_los(s) is not None:
             stays_by_hadm.setdefault(hadm_id, []).append(s)
 
-    patients = {p[0]: p for p in tables.patients}  # a subject's last row
+    # a candidate subject's last row
+    patients = {p[0]: p for p in _kept(files["patients"], 0, by_subject.__contains__)}
 
     rows = []
     for subject_id in sorted(by_subject):
@@ -413,13 +394,13 @@ def build_dataset(cohort: tuple[CohortRow, ...], tables: RawTables, cfg: CohortC
     # only if its drug or item cell contains a key
     subjects = {r.subject_id for r in cohort}
     meds: set[tuple[str, str]] = set()  # (subject, key) with a matching drug
-    for subject, found, _ in _matches(tables.events["prescriptions"], "drug", med_keys, subjects):
+    for subject, found, _ in _matches(tables.files["prescriptions"], "drug", med_keys, subjects):
         meds.update((subject, k) for k in found)
     # every value per (subject, lab key), in file order: np.mean sums long
     # lists pairwise, so a running sum would change the last bits
-    value = tables.events["chartevents"][1]["value_num"]
+    value = tables.files["chartevents"][1]["value_num"]
     labs: dict[tuple[str, str], list[float]] = {}
-    for subject, found, cells in _matches(tables.events["chartevents"], "item_key", lab_keys,
+    for subject, found, cells in _matches(tables.files["chartevents"], "item_key", lab_keys,
                                           subjects):
         if (v := parse_finite(cells[value])) is not None:
             for k in found:

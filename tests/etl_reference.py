@@ -3,9 +3,9 @@
 Pass 1 built a dict per row of ADMISSIONS, ICUSTAYS, DIAGNOSES_ICD and
 PATIENTS, every kept cell stripped and every time and number cell parsed as
 the row was built; ``reference_extract_cohort`` is that pass and the
-extraction rules as they read those dicts.  ``extract_cohort`` now reads
-tuples of cells, each distinct cell stripped once in pass 1, and parses a
-cell only where a rule reads it.
+extraction rules as they read those dicts.  ``extract_cohort`` now streams
+each table, keeps only candidate subjects' rows as tuples of stripped cells,
+and parses a cell only where a rule reads it.
 
 Pass 2 built a parsed dict for every event row of a cohort subject, then
 normalised and searched that row's drug or item text.  ``build_dataset`` now
@@ -24,8 +24,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from leakaudit.cohort_etl import (_STREAMED, DEFAULT_SCHEMA, CohortConfig, CohortRow, RawTables,
-                                  _columns, _id_key, _normalize_key, _parse_time, label_los)
+from leakaudit.cohort_etl import (DEFAULT_SCHEMA, CohortConfig, CohortRow, RawTables, _columns,
+                                  _id_key, _normalize_key, _parse_time, label_los)
 from leakaudit.tabular import BINARY, NUMERIC, Column, Dataset, _csv_reader, parse_finite
 
 # The cells that the reference passes read as times or numbers, each after
@@ -73,7 +73,8 @@ def reference_extract_cohort(directory, cfg: CohortConfig,
     tables = SimpleNamespace(**{
         table: list(_read_rows(*_columns(Path(directory), table,
                                          {**fields, **schema.get(table, {})})))
-        for table, fields in DEFAULT_SCHEMA.items() if table not in _STREAMED})
+        for table, fields in DEFAULT_SCHEMA.items()
+        if table not in ("prescriptions", "chartevents")})
     keyword = cfg.diagnosis_keyword.lower()
 
     admissions = [a for a in tables.admissions if a["expire_flag"] != 1 and a["hadm_id"]]
@@ -129,7 +130,7 @@ def reference_build_dataset(cohort: tuple[CohortRow, ...], tables: RawTables,
     lab_keys = [_normalize_key(k) for k in cfg.lab_keys]
 
     subjects = {r.subject_id for r in cohort}
-    prescriptions, chartevents = (_read_rows(*tables.events[t], subjects)
+    prescriptions, chartevents = (_read_rows(*tables.files[t], subjects)
                                   for t in ("prescriptions", "chartevents"))
     meds: set[tuple[str, str]] = set()
     for p in prescriptions:

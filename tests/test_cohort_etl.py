@@ -1,6 +1,7 @@
 import csv
 import math
 import re
+import shutil
 import sys
 import tempfile
 import tracemalloc
@@ -47,21 +48,26 @@ def _ids(cohort):
     return [r.subject_id for r in cohort]
 
 
+def _every_row(tables, table):
+    """Every row of ``table`` as extraction streams it: a tuple of its schema
+    fields' stripped cells."""
+    return list(cohort_etl._kept(tables.files[table], 0, lambda cell: True))
+
+
 # --- load_tables -------------------------------------------------------
 
 def test_load_empty_tables(tmp_path):
     write_empty_tables(tmp_path)
     tables = load_tables(tmp_path)
-    assert tables.admissions == []
-    assert tables.icustays == []
-    assert tables.diagnoses_icd == []
-    assert tables.patients == []
+    assert sorted(tables.files) == sorted(DEFAULT_SCHEMA)
+    assert all(_every_row(tables, table) == [] for table in DEFAULT_SCHEMA)
+    assert extract_cohort(tables, DEMO_CFG) == ()
 
 
 def test_load_admissions_roundtrip(demo_tables, demo_cohort):
-    assert len(demo_tables.admissions) == 14
-    subject_id, hadm_id, admit_time, admission_type, diagnosis, expire_flag = \
-        demo_tables.admissions[0]
+    admissions = _every_row(demo_tables, "admissions")
+    assert len(admissions) == 14
+    subject_id, hadm_id, admit_time, admission_type, diagnosis, expire_flag = admissions[0]
     assert subject_id == "1"
     assert hadm_id == "101"
     assert admission_type == "EMERGENCY"
@@ -74,23 +80,13 @@ def test_load_admissions_roundtrip(demo_tables, demo_cohort):
     assert row.last_hadm_id == "101"
     assert row.age_years == 61.0
     # quoted field with an embedded comma survives parsing
-    assert demo_tables.admissions[1][4] == "METASTATIC LUNG CANCER, SMALL CELL"
-
-
-def test_equal_cells_are_one_object(demo_tables):
-    cells = [c for table in (demo_tables.admissions, demo_tables.icustays,
-                             demo_tables.diagnoses_icd, demo_tables.patients)
-             for row in table for c in row]
-    assert len({id(c) for c in cells}) == len(set(cells))
-    # a padded cell reads as its stripped form, the same object
-    memo = cohort_etl._Stripped()
-    assert memo[" 2 "] == "2"
-    assert memo[" 2 "] is memo["2"]
+    assert admissions[1][4] == "METASTATIC LUNG CANCER, SMALL CELL"
 
 
 def test_unparseable_numeric_cell_becomes_missing(demo_tables, demo_cohort):
     # the blank CHARTEVENTS value of subject 1 is covered by test_lab_mean_and_missing
-    blank_los = [los for subject_id, *_, los in demo_tables.icustays if subject_id == "12"]
+    blank_los = [los for subject_id, *_, los in _every_row(demo_tables, "icustays")
+                 if subject_id == "12"]
     assert blank_los == [""]
     # read as missing, so the LOS comes from OUTTIME - INTIME
     assert {r.subject_id: r.los for r in demo_cohort}["12"] == pytest.approx(8.0)
@@ -254,7 +250,7 @@ def test_schema_override_renames_columns(tmp_path, mimic_demo_dir):
     for name in ("ICUSTAYS", "DIAGNOSES_ICD", "PRESCRIPTIONS", "CHARTEVENTS", "PATIENTS"):
         (tmp_path / f"{name}.csv").write_text((mimic_demo_dir / f"{name}.csv").read_text())
     tables = load_tables(tmp_path, {"admissions": {"file": "adm.csv", "expire_flag": "DIED"}})
-    assert sum(flag == "1" for *_, flag in tables.admissions) == 2
+    assert sum(flag == "1" for *_, flag in _every_row(tables, "admissions")) == 2
     # the two flags read as 1 through the renamed column: subject 3 is dropped
     cohort = extract_cohort(tables, DEMO_CFG)
     assert cohort == extract_cohort(load_tables(mimic_demo_dir), DEMO_CFG)
@@ -344,7 +340,7 @@ def test_time_cell_forms(cell, read):
 
 def _dictreader_rows(path, colmap):
     """csv.DictReader, a dict per row of every schema field's cell after
-    ``str.strip``, a missing cell read as empty: what the pass-1 reader is
+    ``str.strip``, a missing cell read as empty: what the row reader is
     held to."""
     fields = {key: column for key, column in colmap.items() if key != "file"}
     with open(path, newline="") as fh:
@@ -378,12 +374,42 @@ def test_indexed_reader_matches_dictreader(table):
         path = Path(d) / _COLMAP["file"]
         with open(path, "w", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerows([header, *rows])
-        memo = cohort_etl._Stripped()
-        got = cohort_etl._rows(*cohort_etl._columns(Path(d), "t", _COLMAP), memo.__getitem__)
+        table = cohort_etl._columns(Path(d), "t", _COLMAP)
         fields = [key for key in _COLMAP if key != "file"]
-        assert [dict(zip(fields, row)) for row in got] == list(_dictreader_rows(path, _COLMAP))
-        # one object per distinct stripped cell
-        assert all(cell is memo[cell] for row in got for cell in row)
+        want = list(_dictreader_rows(path, _COLMAP))
+        got = cohort_etl._kept(table, 0, lambda cell: True)
+        assert [dict(zip(fields, row)) for row in got] == want
+        # the test cell is the stripped one: " 2 " is kept with "2"
+        got = cohort_etl._kept(table, 0, {"2"}.__contains__)
+        assert [dict(zip(fields, row)) for row in got] == [r for r in want
+                                                           if r["subject_id"] == "2"]
+
+
+@pytest.mark.parametrize("table", ["admissions", "icustays", "diagnoses_icd", "patients"])
+def test_a_small_table_is_read_to_its_end_though_no_subject_survives(table, tmp_path, capsys,
+                                                                     mimic_demo_dir):
+    # no diagnosis holds the keyword and no code the prefix: no row is kept
+    cfg = tmp_path / "none.cfg"
+    cfg.write_text("cohort.diagnosis_keyword = zzznope\ncohort.icd9_prefixes = zzz\n")
+    bad = tmp_path / DEFAULT_SCHEMA[table]["file"]
+
+    def pad(stem, header, rows):
+        if stem == bad.stem:  # outsiders' rows, so that the header's read does not reach the end
+            rows += [[str(900_000 + i)] + [""] * (len(header) - 1) for i in range(8_000)]
+        return header, rows
+
+    _copy_demo(mimic_demo_dir, tmp_path, pad)
+    assert bad.stat().st_size > 1 << 16  # far past what the UTF-8 decoder reads ahead
+    line = bad.read_bytes().count(b"\n") + 1  # the appended line's number
+    with open(bad, "ab") as fh:
+        fh.write(b"\xff\n")
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["etl", "--data-dir", str(tmp_path), "--config", str(cfg),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{bad}: line {line}: " in err
+    assert not out.exists()
 
 
 # --- extract_cohort ----------------------------------------------------
@@ -457,14 +483,21 @@ def test_only_stays_of_admissions_past_rules_3_and_1_are_parsed(demo_tables, dem
 def test_one_row_per_subject_and_subset(demo_tables, demo_cohort):
     ids = _ids(demo_cohort)
     assert len(ids) == len(set(ids))
-    assert set(ids) <= {subject_id.strip() for subject_id, *_ in demo_tables.admissions}
+    assert set(ids) <= {subject_id for subject_id, *_ in _every_row(demo_tables, "admissions")}
 
 
-def test_uppercasing_diagnoses_leaves_cohort_unchanged(demo_tables, demo_cohort):
-    import dataclasses
-    upper = dataclasses.replace(demo_tables, admissions=[
-        (*a[:4], a[4].upper(), a[5]) for a in demo_tables.admissions])
-    assert _ids(extract_cohort(upper, DEMO_CFG)) == _ids(demo_cohort)
+def test_uppercasing_diagnoses_leaves_cohort_unchanged(tmp_path, mimic_demo_dir, demo_cohort):
+    def upper(stem, header, rows):
+        if stem == "ADMISSIONS":
+            d = header.index("DIAGNOSIS")
+            for row in rows:
+                row[d] = row[d].upper()
+        return header, rows
+
+    directory = _copy_demo(mimic_demo_dir, tmp_path, upper)
+    assert "lung cancer" in (mimic_demo_dir / "ADMISSIONS.csv").read_text()
+    assert "lung cancer" not in (directory / "ADMISSIONS.csv").read_text()
+    assert _ids(extract_cohort(load_tables(directory), DEMO_CFG)) == _ids(demo_cohort)
 
 
 def test_adding_prefix_never_shrinks_cohort(demo_tables, demo_cohort):
@@ -658,8 +691,7 @@ def test_build_dataset_matches_the_per_row_reference(case):
                 csv.writer(fh, lineterminator="\n").writerows([header, *rows])
         events = {t: cohort_etl._columns(Path(d), t, DEFAULT_SCHEMA[t])
                   for t in ("prescriptions", "chartevents")}
-        tables = RawTables(admissions=[], icustays=[], diagnoses_icd=[], patients=[],
-                           events=events)
+        tables = RawTables(events)
         want = reference_build_dataset(cohort, tables, _PASS2_CFG)
         # the memo as it is, and one that is cleared every second distinct cell
         for memo_cells in (cohort_etl._MEMO_CELLS, 2):
@@ -732,17 +764,53 @@ def test_extract_cohort_matches_the_per_row_reference(pass1_dir, files, keyword,
     assert extract_cohort(load_tables(pass1_dir), cfg) == reference_extract_cohort(pass1_dir, cfg)
 
 
-def test_pass_1_and_extraction_stay_within_their_memory_bound(tmp_path):
-    planted = mimic_tables.generate_tables(tmp_path, 1, n_subjects=1000)
-    values = parse_config(tmp_path / "extraction.cfg")
+def _extraction_peak(directory):
+    """The cohort of the generated tables in ``directory``, and the traced
+    peak of the ``load_tables`` and ``extract_cohort`` calls that give it."""
+    values = parse_config(directory / "extraction.cfg")
     cfg = CohortConfig(**section(values, CohortConfig))
     tracemalloc.start()
     try:
-        cohort = extract_cohort(load_tables(tmp_path, schema_from_config(values)), cfg)
-        peak = tracemalloc.get_traced_memory()[1]
+        cohort = extract_cohort(load_tables(directory, schema_from_config(values)), cfg)
+        return cohort, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_pass_1_and_extraction_stay_within_their_memory_bound(tmp_path):
+    planted = mimic_tables.generate_tables(tmp_path, 1, n_subjects=1000)
+    cohort, peak = _extraction_peak(tmp_path)
     assert len(cohort) == planted.cohort_size
-    # 2.39 MB with tuples of stripped cells, one object per distinct cell; 5.2 MB
-    # with parsed row dicts
+    # 1.90 MB keeping only candidate subjects' rows; 2.39 MB holding every row
+    # of the four tables as tuples of stripped cells, 5.2 MB as parsed row dicts
     assert peak < 3.5e6
+
+
+def _append(path, rows):
+    """Append ``rows``, each a dict of column -> cell, to the CSV ``path``,
+    leaving every column the dict does not name empty."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header = next(csv.reader(fh))
+    with open(path, "a", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([row.get(c, "") for c in header]
+                                                      for row in rows)
+
+
+def test_extraction_memory_does_not_grow_with_rows_no_rule_keeps(tmp_path):
+    planted = mimic_tables.generate_tables(tmp_path / "plain", 1, n_subjects=1000)
+    shutil.copytree(tmp_path / "plain", tmp_path / "padded")
+    # 50,000 more subjects, each with a code outside 162 and a keyword admission
+    # with an id and no expire flag: rule 3 drops every one
+    outsiders = [str(s) for s in range(1_000_000, 1_050_000)]
+    _append(tmp_path / "padded" / "DIAGNOSES_ICD.csv",
+            ({"SUBJECT_ID": s, "HADM_ID": s, "ICD9_CODE": "4019"} for s in outsiders))
+    _append(tmp_path / "padded" / "ADMISSIONS.csv",
+            ({"SUBJECT_ID": s, "HADM_ID": s, "ADMITTIME": "2111-06-01 08:00:00",
+              "ADMISSION_TYPE": "EMERGENCY", "DIAGNOSIS": "LUNG CANCER",
+              "HOSPITAL_EXPIRE_FLAG": "0"} for s in outsiders))
+    plain, plain_peak = _extraction_peak(tmp_path / "plain")
+    padded, padded_peak = _extraction_peak(tmp_path / "padded")
+    assert len(plain) == planted.cohort_size and padded == plain
+    # 1.90 and 1.87 MB keeping only candidate subjects' rows; 2.40 and 14.7 MB
+    # holding every row of the four tables
+    assert padded_peak < plain_peak + 0.5e6

@@ -80,6 +80,15 @@ MUTANTS = (
            "src/leakaudit/forest.py",
            (("rng.integers(0, n, size=(trees, n))", "rng.integers(0, n, size=(trees, n))[:1]"),),
            "tests/test_forest.py::test_matches_the_reference_grower_exactly_at_full_mtry"),
+    Mutant("F4", "the split search's min_leaf filter tests the left side only",
+           "src/leakaudit/forest.py",
+           (("ok = (ln >= min_leaf) & (rn >= min_leaf)", "ok = ln >= min_leaf"),),
+           "tests/test_forest.py::test_split_pass_matches_the_reference_split_node_by_node"),
+    Mutant("F5", "a node's last lowest-cost split point wins, not its first",
+           "src/leakaudit/forest.py",
+           (("np.not_equal(at[1:], at[:-1], out=first[1:])",
+             "np.not_equal(at[1:], at[:-1], out=first[:-1])"),),
+           "tests/test_forest.py::test_split_pass_matches_the_reference_split_node_by_node"),
     # AUROC's tie rule: a positive tied with a negative counts half
     Mutant("A1", "AUROC counts a tie as a win",
            "src/leakaudit/evaluation.py",

@@ -103,8 +103,12 @@ def _candidates(keys: np.ndarray, p: int, mtry: int) -> np.ndarray:
 
 
 def _step(x, row, feature, threshold, left, node):
-    """Where each (row, node) pair moves: a leaf keeps it, a split sends it to left or left + 1."""
-    return left[node] + (x[row, feature[node]] > threshold[node])
+    """Where each (row, node) pair moves: a leaf keeps it, a split sends it to left or left + 1.
+
+    Cells are read through flat indices of the C-contiguous ``x``.  A leaf's
+    feature -1 reads some other cell, which its +inf threshold ignores.
+    """
+    return left[node] + (x.ravel()[row * x.shape[1] + feature[node]] > threshold[node])
 
 
 def _argsort(keys: np.ndarray, bound: int, kind: str | None = None) -> np.ndarray:
@@ -123,37 +127,44 @@ def _split_pass(x, y, ranks, node, row, w, size, pos, cands, min_leaf):
     the size-weighted Gini, lp*(ln-lp)/ln + rp*(rn-rp)/rn, on exact integer
     counts.  The first candidate with the strictly lowest cost wins, and
     within it the lowest threshold: the midpoint of two consecutive values,
-    or the left one when the midpoint rounds up to the right one.
+    or the left one when the midpoint rounds up to the right one.  Ranks are
+    read through flat indices of the C-contiguous ``ranks``.
     """
-    n = len(x)
+    n, p = ranks.shape
     m, mtry = cands.shape
-    feats = cands[node]
-    key = ((node[:, None] * mtry + np.arange(mtry)) * n + ranks[row[:, None], feats]).ravel()
+    feats = np.take(cands, node, axis=0)  # gathers whole rows faster than cands[node]
+    key = ((node * (mtry * n))[:, None] + np.arange(0, mtry * n, n)
+           + ranks.ravel()[(row * p)[:, None] + feats]).ravel()
     order = _argsort(key, m * mtry * n)  # equal keys hold equal values
     key, inst = key[order], order // mtry
-    seg = key // n  # (node, candidate) segment
-    ws = w[inst]
-    wys = ws * y[row[inst]]
+    ws, wys = w[inst], (w * y[row])[inst]
     cw, cp = np.cumsum(ws), np.cumsum(wys)
     seg_len = np.repeat(np.bincount(node, minlength=m), mtry)
     start = np.cumsum(seg_len) - seg_len
-    # a split point ends a run of equal ranks within its segment
-    v = np.flatnonzero((seg[:-1] == seg[1:]) & (key[:-1] != key[1:]))
-    sv = seg[v]
+    # a split point ends a run of equal ranks before its (node, candidate) segment ends
+    edge = key[:-1] != key[1:]
+    edge[start[1:] - 1] = False
+    v = np.flatnonzero(edge)
+    sv = key[v] // n  # each split point's segment
+    at = sv // mtry  # and its node
     ln = cw[v] - (cw[start] - ws[start])[sv]
-    lp = cp[v] - (cp[start] - wys[start])[sv]
-    rn, rp = size[sv // mtry] - ln, pos[sv // mtry] - lp
+    rn = size[at] - ln
     ok = (ln >= min_leaf) & (rn >= min_leaf)
-    v, ln, lp, rn, rp = v[ok], ln[ok], lp[ok], rn[ok], rp[ok]
+    v, sv, at, ln, rn = v[ok], sv[ok], at[ok], ln[ok], rn[ok]
+    lp = cp[v] - (cp[start] - wys[start])[sv]
+    rp = pos[at] - lp
     cost = np.full(len(key), np.inf)
-    cost[v] = lp * (ln - lp) / ln + rp * (rn - rp) / rn
+    split_cost = lp * (ln - lp) / ln + rp * (rn - rp) / rn
+    cost[v] = split_cost
     lowest = np.minimum.reduceat(cost, start[::mtry])
-    hits = v[cost[v] == lowest[seg[v] // mtry]]
-    best = hits[np.diff(seg[hits] // mtry, prepend=-1) != 0]
+    hit = split_cost == lowest[at]
+    best, at = v[hit], at[hit]
+    first = np.ones(len(at), dtype=bool)  # a node's first hit: its first candidate, lowest rank
+    np.not_equal(at[1:], at[:-1], out=first[1:])
+    best, at = best[first], at[first]
     f = feats.ravel()[order[best]]
     lo, hi = x[row[inst[best]], f], x[row[inst[best + 1]], f]
     thr = 0.5 * (lo + hi)
-    at = seg[best] // mtry
     feature, threshold = np.full(m, -1), np.full(m, np.inf)
     feature[at], threshold[at] = f, np.where(thr >= hi, lo, thr)
     return feature, threshold
@@ -183,17 +194,19 @@ def _bootstrap(n: int, cfg: ForestConfig):
     """(tree, row, count) for each row that tree's bootstrap draw holds.
 
     One generator draws every tree's sample as an (n_trees, n) array, filled
-    row by row, so tree t's draw is row t whatever the number of trees.
+    row by row, so tree t's draw is row t whatever the number of trees.  The
+    counts are kept flat, at index tree * n + row, and read in that order.
     """
     trees = cfg.n_trees
     if cfg.bootstrap:
         rng = np.random.default_rng(derive_seed(cfg.seed, "bootstrap"))
         draw = rng.integers(0, n, size=(trees, n)) + n * np.arange(trees)[:, None]
-        counts = np.bincount(draw.ravel(), minlength=trees * n).reshape(trees, n)
+        counts = np.bincount(draw.ravel(), minlength=trees * n)
     else:
-        counts = np.ones((trees, n), dtype=np.int64)
-    tree, row = np.nonzero(counts)
-    return tree, row, counts[tree, row].astype(np.float64)
+        counts = np.ones(trees * n, dtype=np.int64)
+    held = np.flatnonzero(counts)
+    tree, row = np.divmod(held, n)
+    return tree, row, counts[held].astype(np.float64)
 
 
 def _grow_forest(x, y, kinds, cfg: ForestConfig, mtry: int):

@@ -10,7 +10,7 @@ from leakaudit.forest import (ForestConfig, majority_baseline, predict_proba,
 from leakaudit.tabular import BINARY, NUMERIC
 
 from conftest import make_dataset
-from forest_reference import reference_scores
+from forest_reference import _best_split, reference_scores
 
 
 def _forest(**kw):
@@ -273,6 +273,44 @@ def test_small_passes_match_the_reference(monkeypatch, budget, n_trees, bootstra
     y = rng.integers(0, 2, 40)
     cfg = ForestConfig(n_trees=n_trees, mtry=p, bootstrap=bootstrap, seed=4)
     np.testing.assert_array_equal(_scores(x, y, x, cfg), reference_scores(x, y, x, cfg))
+
+
+@st.composite
+def split_pass_inputs(draw):
+    """One pass's nodes on tie-heavy cells: each node's rows in a drawn order, bootstrap
+    weights, and ``mtry < p`` candidates in a drawn order."""
+    n = draw(st.integers(1, 12))
+    p = draw(st.integers(2, 5))
+    x = draw(arrays(np.float64, (n, p), elements=st.integers(-2, 2).map(lambda v: v / 10)))
+    y = draw(arrays(np.float64, n, elements=st.sampled_from([0.0, 1.0])))
+    mtry = draw(st.integers(1, p - 1))
+    rows = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, unique=True),
+                         min_size=1, max_size=4))
+    weights = [draw(st.lists(st.integers(1, 3), min_size=len(r), max_size=len(r))) for r in rows]
+    cands = np.array([draw(st.permutations(range(p)))[:mtry] for _ in rows])
+    return x, y, rows, weights, cands
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_pass_inputs(), st.integers(1, 3))
+def test_split_pass_matches_the_reference_split_node_by_node(data, min_leaf):
+    # below mtry = p a node's candidates come in hash order, not index order, so this
+    # pins "the first candidate with the lowest cost wins" outside the goldens.  The
+    # reference sees each row repeated by its weight
+    x, y, rows, weights, cands = data
+    ranks = np.empty(x.shape, dtype=np.int32)
+    for f in range(x.shape[1]):
+        ranks[:, f] = np.unique(x[:, f], return_inverse=True)[1]
+    node = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
+    row, w = np.concatenate(rows), np.concatenate(weights).astype(np.float64)
+    size = np.bincount(node, w, minlength=len(rows))
+    pos = np.bincount(node, w * y[row], minlength=len(rows))
+    feature, threshold = forest._split_pass(x, y, ranks, node, row, w, size, pos, cands,
+                                            min_leaf)
+    for i, (r, k) in enumerate(zip(rows, weights)):
+        repeated = np.repeat(r, k)
+        split = _best_split(x[repeated], y[repeated], cands[i], min_leaf)
+        assert (feature[i], threshold[i]) == (split or (-1, np.inf))
 
 
 # --- growth order cannot change a tree -------------------------------------
